@@ -310,24 +310,19 @@ def logistic_spike_grad(m, threshold, slope: float):
     return slope * s * (1.0 - s)
 
 
-def vsn(x: Node, beta: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
-    """Leaky threshold-gated activation on (..., C) fields, single time step.
+def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
+    """Threshold-gated activation on (..., C) fields, single time step.
 
     Membrane starts at zero each call, so one step gives membrane = x; the
     gate fires where membrane >= threshold and the output is gelu(gate * x)
     (zero input stays zero). Returns (output, gate) nodes; the gate node
-    carries the spike field for activity penalties and reporting. beta is
-    accepted as a parent for interface symmetry; with a single step the
-    leak cannot influence the output, so its gradient is zero.
+    carries the spike field for activity penalties and reporting.
     """
     xv = x.value
     th = threshold.value
-    be = beta.value
-    if th.ndim != 1 or th.shape[0] != xv.shape[-1] or be.shape != th.shape:
-        raise ShapeError(
-            f"vsn: x {xv.shape}, beta {be.shape}, threshold {th.shape} incompatible"
-        )
-    membrane = xv  # M_1 = beta * 0 + x
+    if th.ndim != 1 or th.shape[0] != xv.shape[-1]:
+        raise ShapeError(f"vsn: x {xv.shape}, threshold {th.shape} incompatible")
+    membrane = xv
     sig = expit(slope * (membrane - th))
     surr = slope * sig * (1.0 - sig)
     gate = sig if smooth else (membrane >= th).astype(np.float64)
@@ -338,24 +333,18 @@ def vsn(x: Node, beta: Node, threshold: Node, slope: float = 10.0, smooth: bool 
     def out_dx(g):
         return g * dact * (gate + xv * surr)
 
-    def out_dbeta(g):
-        return np.zeros_like(be)
-
     def out_dth(g):
         return (g * dact * xv * (-surr)).sum(axis=lead)
 
-    out_node = Node(act, (x, beta, threshold), (out_dx, out_dbeta, out_dth))
+    out_node = Node(act, (x, threshold), (out_dx, out_dth))
 
     def gate_dx(g):
         return g * surr
 
-    def gate_dbeta(g):
-        return np.zeros_like(be)
-
     def gate_dth(g):
         return (g * (-surr)).sum(axis=lead)
 
-    gate_node = Node(gate, (x, beta, threshold), (gate_dx, gate_dbeta, gate_dth))
+    gate_node = Node(gate, (x, threshold), (gate_dx, gate_dth))
     return out_node, gate_node
 
 

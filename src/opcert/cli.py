@@ -5,16 +5,15 @@ Configuration is plain `key = value` text with a default for every key and
 rejection of unknown keys; the fully resolved configuration is echoed into
 the run manifest next to each artifact. Exit codes: 2 configuration,
 3 I/O, 4 diverged training, 5 grid/shape mismatch, 6 field-transport
-failure, 7 spiking report on a non-spiking checkpoint.
+failure, 7 spiking report on a non-spiking checkpoint, 8 a failed
+data-generation solve (no dataset file is written then).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from . import ensemble as ens
 from . import gp as gpm
 from . import neuralop as no
 from . import serialio as sio
-from .core import GridError, GridSpec, SeededRng, ShapeError
+from .core import Band, GridError, GridSpec, SeededRng, ShapeError, normalized_coordinates
 
 # dedicated stream bases, disjoint from the per-sample data streams
 CALIBRATION_JITTER_STREAM = 4 << 20
@@ -97,13 +96,6 @@ def load_config(path) -> RunConfig:
     return cfg.validate()
 
 
-def _worker_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("OPCERT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _wno_config(run: RunConfig, grid: GridSpec) -> no.WnoConfig:
     return no.WnoConfig(
         grid=grid,
@@ -172,7 +164,6 @@ def cmd_train(args) -> int:
     rng = SeededRng(run.seed, TRAIN_STREAM)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(args)
     if run.model == "q-wno":
         loss_lo = no.LossConfig("pinball", eta=run.alpha / 2.0)
         loss_hi = no.LossConfig("pinball", eta=1.0 - run.alpha / 2.0)
@@ -191,40 +182,16 @@ def cmd_train(args) -> int:
             out / "manifest.txt",
             {"kind": "qwno", "eta_lo": repr(run.alpha / 2.0), "eta_hi": repr(1.0 - run.alpha / 2.0)},
         )
-        _write_traces(out / "loss_traces.csv", traces)
     else:
         loss = no.LossConfig("l2")
         if run.model == "rp-vswno" and run.slf_beta > 0:
             loss = no.LossConfig("slf", alpha_w=run.slf_alpha, beta_w=run.slf_beta)
-
-        def train_member(k):
-            member = ens.build_member(cfg, run.prior_weight, rng, k)
-            if cfg.normalize:
-                stats = no.NormStats(
-                    float(np.mean(train_in)), float(np.std(train_in)) or 1.0,
-                    float(np.mean(train_out)), float(np.std(train_out)) or 1.0,
-                )
-                member.trainable.norm = stats
-                member.prior.norm = stats
-            residual = member.residual_targets(train_in, train_out)
-            trace = no.train(
-                member.trainable, train_in, residual, loss, run.epochs, run.batch,
-                rng.substream(ens._MEMBER_BLOCK * k + ens._BATCH_OFF), lr=run.lr,
-            )
-            return member, trace
-
-        try:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(train_member, range(run.n_c)))
-            else:
-                results = [train_member(k) for k in range(run.n_c)]
-        except no.TrainingDiverged as exc:
-            raise ens.EnsembleTrainingError(str(exc)) from exc
-        members = [m for m, _ in results]
-        ensemble = ens.RpEnsemble(members, cfg, run.prior_weight)
+        ensemble, traces = ens.rp_train(
+            train_in, train_out, cfg, run.n_c, run.prior_weight, rng, loss,
+            run.epochs, run.batch, run.lr,
+        )
         ens.save_ensemble(ensemble, out)
-        _write_traces(out / "loss_traces.csv", [t for _, t in results])
+    _write_traces(out / "loss_traces.csv", traces)
     sio.write_manifest(out / "run_manifest.txt", run.as_manifest())
     print(f"trained {run.model} on {len(train_in)} samples -> {out}")
     return 0
@@ -269,8 +236,6 @@ def cmd_calibrate(args) -> int:
 def _coverage_csv(path, grid, calibrated, uncalibrated, nmse, target):
     coords = None
     try:
-        from .core import normalized_coordinates
-
         coords = normalized_coordinates(grid)
     except GridError:
         pass
@@ -319,8 +284,6 @@ def _evaluate_cq(models, qf, test_in, test_out, target):
     lo, hi = models
     lo_p, hi_p = lo.predict(test_in), hi.predict(test_in)
     cal_bands = [cf.cq_band(lo_p[i], hi_p[i], qf) for i in range(len(test_in))]
-    from .core import Band
-
     # crossed quantiles stay crossed: such a band covers nothing, and hiding
     # that would overstate the baseline
     unc_bands = [Band(lo_p[i], hi_p[i]) for i in range(len(test_in))]
@@ -398,7 +361,6 @@ def cmd_spiking_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opcert", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-data", help="write dataset splits")
@@ -460,6 +422,7 @@ def main(argv=None) -> int:
             ((ShapeError, GridError), 5),
             (gpm.GpFitError, 6),
             (no.NonSpikingModelError, 7),
+            (dg.SolverError, 8),
             (ValueError, 2),
         ):
             if isinstance(exc, types):

@@ -125,16 +125,29 @@ def quantile_index(n: int, alpha: float) -> int:
     return math.ceil((1.0 - alpha) * (n + 1))
 
 
-def conformal_quantile(scores, alpha: float) -> float:
-    """The k-th smallest score, k = ceil((1-alpha)(n+1)); +inf when k > n."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    n = scores.size
+def conformal_quantile(scores, alpha: float):
+    """The k-th smallest score along axis 0, k = ceil((1-alpha)(n+1)).
+
+    Scores of shape (n, *grid) give one value per location; 1-D scores give
+    a float. The value is +inf where k > n.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
     if n == 0:
         raise ValueError("cannot take a quantile of an empty score set")
     k = quantile_index(n, alpha)
     if k > n:
-        return float("inf")
-    return float(np.partition(scores, k - 1)[k - 1])
+        q = np.full(scores.shape[1:], np.inf)
+    else:
+        q = np.partition(scores, k - 1, axis=0)[k - 1]
+    return float(q) if q.ndim == 0 else q
+
+
+def _jittered_quantile(scores, alpha, rng: SeededRng, jitter: float) -> np.ndarray:
+    """Per-location quantile after a reproducible uniform tie-breaking jitter."""
+    if jitter > 0:
+        scores = scores + rng.generator().uniform(0.0, jitter, size=scores.shape)
+    return conformal_quantile(scores, alpha)
 
 
 def calibrate(
@@ -153,8 +166,7 @@ def calibrate(
     disjoint from training; nothing here can check that.
     """
     cal_targets = np.asarray(cal_targets, dtype=np.float64)
-    n = len(cal_targets)
-    if n == 0:
+    if len(cal_targets) == 0:
         raise ValueError("calibration set is empty")
     if cal_targets.shape[1:] != grid.shape:
         raise ShapeError(
@@ -164,15 +176,7 @@ def calibrate(
     if np.shape(mean) != cal_targets.shape or np.shape(spread) != cal_targets.shape:
         raise ShapeError("predictor output does not match calibration targets")
     scores = score_rp(cal_targets, mean, spread)
-    if jitter > 0:
-        scores = scores + rng.generator().uniform(0.0, jitter, size=scores.shape)
-    k = quantile_index(n, alpha)
-    if k > n:
-        q = np.full(grid.shape, np.inf)
-    else:
-        flat = scores.reshape(n, -1)
-        q = np.partition(flat, k - 1, axis=0)[k - 1].reshape(grid.shape)
-    return QField(q, grid, alpha)
+    return QField(_jittered_quantile(scores, alpha, rng, jitter), grid, alpha)
 
 
 def band(mean: np.ndarray, spread: np.ndarray, qfield: QField, z: float = 1.0) -> Band:
@@ -228,18 +232,9 @@ def calibrate_cq(
 ) -> QField:
     """Conformal parameters for a trained quantile-pair baseline."""
     cal_targets = np.asarray(cal_targets, dtype=np.float64)
-    n = len(cal_targets)
-    if n == 0:
+    if len(cal_targets) == 0:
         raise ValueError("calibration set is empty")
-    scores = cq_score(cal_targets, lo_preds, hi_preds)
-    if jitter > 0:
-        scores = scores + rng.generator().uniform(0.0, jitter, size=scores.shape)
-    k = quantile_index(n, alpha)
-    if k > n:
-        q = np.full(grid.shape, np.inf)
-    else:
-        flat = scores.reshape(n, -1)
-        q = np.partition(flat, k - 1, axis=0)[k - 1].reshape(grid.shape)
+    q = _jittered_quantile(cq_score(cal_targets, lo_preds, hi_preds), alpha, rng, jitter)
     # the pair score can be negative everywhere; a negative widening would
     # shrink the interval, so clamp at zero which keeps the guarantee
     return QField(np.maximum(q, 0.0), grid, alpha)
@@ -249,14 +244,14 @@ def save_qfield(qfield: QField, path):
     with open(path, "wb") as fh:
         sio.start_file(fh, sio.QFIELD_MAGIC)
         sio.write_grid(fh, qfield.grid)
-        sio._write_f64(fh, qfield.alpha, qfield.z)
-        sio._write_array(fh, qfield.values)
+        sio.write_f64(fh, qfield.alpha, qfield.z)
+        sio.write_array(fh, qfield.values)
 
 
 def load_qfield(path) -> QField:
     with open(path, "rb") as fh:
         sio.check_magic(fh, sio.QFIELD_MAGIC)
         grid = sio.read_grid(fh)
-        alpha, z = sio._read_f64(fh, 2)
-        values = sio._read_array(fh)
+        alpha, z = sio.read_f64(fh, 2)
+        values = sio.read_array(fh)
     return QField(values, grid, alpha, z)

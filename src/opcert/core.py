@@ -102,29 +102,12 @@ class SeededRng:
         return SeededRng(self.seed, (self.stream + offset) & _U64)
 
 
-def gaussian_draws(rng: SeededRng, n: int) -> np.ndarray:
-    """n i.i.d. standard normal draws, deterministic for the stream."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    return rng.generator().standard_normal(n)
-
-
 def require_same_shape(a: np.ndarray, b, context: str = "elementwise op"):
     """Enforce the no-broadcast contract (scalars exempt)."""
     if np.isscalar(b) or getattr(b, "shape", None) == ():
         return
     if a.shape != b.shape:
         raise ShapeError(f"{context}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(a: np.ndarray, b) -> np.ndarray:
-    require_same_shape(a, b, "add")
-    return a + b
-
-
-def mul(a: np.ndarray, b) -> np.ndarray:
-    require_same_shape(a, b, "mul")
-    return a * b
 
 
 @dataclass

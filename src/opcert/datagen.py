@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import diags_array
+from scipy.sparse.linalg import spsolve
 
 from . import serialio as sio
 from .core import GridSpec, SeededRng
@@ -212,7 +214,6 @@ class DarcyConfig:
     perm_low: float = 3.0
     perm_high: float = 12.0
     forcing: float = 1.0
-    cg_tol: float = 1e-10
 
     def __post_init__(self):
         if self.resolution < 3:
@@ -233,24 +234,12 @@ def _edge_coefficients(a: np.ndarray):
     return ax, ay
 
 
-def _apply_operator(u_int: np.ndarray, ax, ay, h2: float) -> np.ndarray:
-    """Five-point conservative operator on interior nodes, zero boundary."""
-    r = u_int.shape[0]
-    u = np.zeros((r + 2, r + 2))
-    u[1:-1, 1:-1] = u_int
-    north = ax[1:, 1:-1] * (u[1:-1, 1:-1] - u[2:, 1:-1])
-    south = ax[:-1, 1:-1] * (u[1:-1, 1:-1] - u[:-2, 1:-1])
-    east = ay[1:-1, 1:] * (u[1:-1, 1:-1] - u[1:-1, 2:])
-    west = ay[1:-1, :-1] * (u[1:-1, 1:-1] - u[1:-1, :-2])
-    return (north + south + east + west) / h2
-
-
 def solve_darcy_fd(a: np.ndarray, config: DarcyConfig) -> np.ndarray:
     """Solve -div(a grad u) = forcing with zero Dirichlet boundary.
 
-    Harmonic edge averaging keeps the 5-point system symmetric positive
-    definite for positive a; conjugate gradients run to a 1e-10 relative
-    residual with a 10 N iteration budget.
+    Harmonic edge averaging keeps the 5-point system on the interior nodes
+    symmetric positive definite for positive a; it is assembled sparse and
+    solved directly.
     """
     a = np.asarray(a, dtype=np.float64)
     r = config.resolution
@@ -258,34 +247,28 @@ def solve_darcy_fd(a: np.ndarray, config: DarcyConfig) -> np.ndarray:
         raise ValueError(f"conductivity must be ({r}, {r}), got {a.shape}")
     if np.any(a <= 0):
         raise ValueError("conductivity must be strictly positive")
+    m = r - 2
+    ax, ay = _edge_coefficients(a)
+    # edge weights from interior node (i, j) to (i+1, j), (i-1, j), (i, j+1)
+    # and (i, j-1); unknowns are numbered row-major
+    down, up = ax[1:, 1:-1], ax[:-1, 1:-1]
+    right, left = ay[1:-1, 1:], ay[1:-1, :-1]
+    vertical = down[:-1].ravel()
+    horizontal = right.copy()
+    horizontal[:, -1] = 0.0  # no coupling across the end of a row
+    horizontal = horizontal.ravel()[:-1]
     h = 1.0 / (r - 1)
     h2 = h * h
-    ax, ay = _edge_coefficients(a)
-    n_unknowns = (r - 2) * (r - 2)
-    b = np.full((r - 2, r - 2), config.forcing)
-    x = np.zeros_like(b)
-    res = b - _apply_operator(x, ax, ay, h2)
-    p = res.copy()
-    rs = float(np.sum(res * res))
-    b_norm = float(np.linalg.norm(b))
-    tol = config.cg_tol * b_norm
-    max_iter = 10 * n_unknowns
-    for it in range(max_iter):
-        if np.sqrt(rs) <= tol:
-            break
-        ap = _apply_operator(p, ax, ay, h2)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        res -= alpha * ap
-        rs_new = float(np.sum(res * res))
-        p = res + (rs_new / rs) * p
-        rs = rs_new
-    else:
-        raise SolverError(
-            f"conjugate gradients did not reach {config.cg_tol} in {max_iter} iterations"
-        )
+    diagonals = [(down + up + right + left).ravel(), -horizontal, -horizontal, -vertical, -vertical]
+    offsets = [0, 1, -1, m, -m]
+    if m == 1:  # a single unknown has no neighbours
+        diagonals, offsets = diagonals[:1], offsets[:1]
+    operator = diags_array(diagonals, offsets=offsets, format="csc") / h2
+    u = spsolve(operator, np.full(m * m, config.forcing))
+    if not np.all(np.isfinite(u)):
+        raise SolverError("sparse solve returned a non-finite pressure field")
     out = np.zeros((r, r))
-    out[1:-1, 1:-1] = x
+    out[1:-1, 1:-1] = u.reshape(m, m)
     return out
 
 
@@ -318,24 +301,24 @@ def write_dataset(path, kind: str, grid: GridSpec, inputs: np.ndarray, outputs: 
         raise ValueError("dataset arrays must be (n, *grid) and aligned")
     with open(path, "wb") as fh:
         sio.start_file(fh, sio.DATASET_MAGIC)
-        sio._write_u32(fh, DATASET_KINDS[kind])
+        sio.write_u32(fh, DATASET_KINDS[kind])
         sio.write_grid(fh, grid)
-        sio._write_u32(fh, len(inputs))
+        sio.write_u32(fh, len(inputs))
         for u, y in zip(inputs, outputs):
-            sio._write_array(fh, u)
-            sio._write_array(fh, y)
+            sio.write_array(fh, u)
+            sio.write_array(fh, y)
 
 
 def read_dataset(path):
     with open(path, "rb") as fh:
         sio.check_magic(fh, sio.DATASET_MAGIC)
-        kind = _KIND_NAMES[sio._read_u32(fh)]
+        kind = _KIND_NAMES[sio.read_u32(fh)]
         grid = sio.read_grid(fh)
-        count = sio._read_u32(fh)
+        count = sio.read_u32(fh)
         inputs, outputs = [], []
         for _ in range(count):
-            inputs.append(sio._read_array(fh))
-            outputs.append(sio._read_array(fh))
+            inputs.append(sio.read_array(fh))
+            outputs.append(sio.read_array(fh))
     return kind, grid, np.stack(inputs), np.stack(outputs)
 
 
@@ -351,15 +334,13 @@ def make_dataset(
 
     Every sample is drawn from its own stream (split base + index), so
     regenerating any split, in any order, is bit-identical, and no two
-    splits can share a sample.
+    splits can share a sample. A SolverError names the failing sample.
     """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     for split in ("train", "calibration", "test"):
         if counts.get(split, 0) < 1:
             raise ValueError(f"need at least one {split} sample")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "burgers":
         config = burgers or BurgersConfig()
         grid = GridSpec((config.output_resolution,))
@@ -368,17 +349,25 @@ def make_dataset(
         config = darcy or DarcyConfig()
         grid = GridSpec((config.resolution, config.resolution))
         sampler = lambda r: generate_darcy_sample(r, config)
-    paths = {}
+    drawn = {}
     for split in ("train", "calibration", "test"):
         base = SPLIT_STREAM_BASE[split]
-        ins, outs = [], []
+        pairs = []
         for i in range(counts[split]):
-            u, y = sampler(rng.substream(base + i))
-            ins.append(u)
-            outs.append(y)
-        path = out_dir / f"{split}.opdata"
-        write_dataset(path, kind, grid, np.stack(ins), np.stack(outs))
-        paths[split] = path
+            try:
+                pairs.append(sampler(rng.substream(base + i)))
+            except SolverError as exc:
+                raise SolverError(f"{split}[{i}]: {exc}") from exc
+        drawn[split] = pairs
+    # every split is drawn before any file is written, so a failed solve
+    # leaves no partial dataset behind
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for split, pairs in drawn.items():
+        paths[split] = out_dir / f"{split}.opdata"
+        ins, outs = zip(*pairs)
+        write_dataset(paths[split], kind, grid, np.stack(ins), np.stack(outs))
     manifest = {
         "kind": kind,
         "seed": rng.seed,

@@ -98,20 +98,12 @@ def rp_train(
     if len(inputs) == 0:
         raise ValueError("training dataset is empty")
     loss_config = loss_config or no.LossConfig("l2")
-    norm = None
-    if config.normalize:
-        norm = no.NormStats(
-            float(np.mean(inputs)),
-            float(np.std(inputs)) or 1.0,
-            float(np.mean(targets)),
-            float(np.std(targets)) or 1.0,
-        )
     members, traces = [], []
     for k in range(n_c):
         member = build_member(config, prior_weight, rng, k)
-        if norm is not None:
-            member.trainable.norm = norm
-            member.prior.norm = norm
+        if config.normalize:
+            member.trainable.set_normalization(inputs, targets)
+            member.prior.norm = member.trainable.norm
         residual = member.residual_targets(inputs, targets)
         batch_rng = rng.substream(_MEMBER_BLOCK * k + _BATCH_OFF)
         try:
@@ -146,18 +138,6 @@ def initial_band(mean: np.ndarray, spread: np.ndarray, z: float = 1.96) -> Band:
     if np.any(spread < 0):
         raise ValueError("spread must be non-negative")
     return Band(mean - z * spread, mean + z * spread)
-
-
-def select_members(
-    ensemble: RpEnsemble, inputs: np.ndarray, targets: np.ndarray, keep: int
-) -> RpEnsemble:
-    """Keep the members with the lowest validation error (optional step)."""
-    if not 1 <= keep <= ensemble.size:
-        raise ValueError(f"keep must be in [1, {ensemble.size}]")
-    losses = [no.loss_l2(m.predict(inputs), targets) for m in ensemble.members]
-    order = np.argsort(losses)[:keep]
-    kept = [ensemble.members[i] for i in sorted(order)]
-    return RpEnsemble(kept, ensemble.config, ensemble.prior_weight)
 
 
 # --------------------------------------------------------------------------

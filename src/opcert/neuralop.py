@@ -7,6 +7,11 @@ learnable channel-mixing weights to the coarsest approximation block
 convolution and a channel bias, and applies the activation. Normalized
 grid coordinates are appended to the input function as extra channels.
 
+The variable-spiking activation runs for a single time step: the membrane
+starts at zero, so it equals the layer's pre-activation, and a site fires
+where that reaches its learned threshold. A leak factor has no effect on
+one step, so the model has none.
+
 Evaluating a trained model on a dyadically refined (or coarsened) grid
 adjusts the decomposition depth so the approximation block keeps its
 trained shape; this is what makes zero-shot resolution transfer work.
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import serialio as sio
 from . import wavelet as wv
 from .core import GridError, GridSpec, SeededRng, normalized_coordinates
 
@@ -47,7 +53,6 @@ class WnoConfig:
     proj_hidden: int = 128
     in_channels: int = 0  # 0 -> function value + one coordinate channel per dim
     normalize: bool = False
-    spike_steps: int = 1
     surrogate_slope: float = 10.0
 
     def __post_init__(self):
@@ -57,8 +62,8 @@ class WnoConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.wavelet not in ("db4", "db6"):
             raise ValueError(f"unsupported wavelet {self.wavelet!r}")
-        if self.activation == "vsn" and self.spike_steps != 1:
-            raise ValueError("network integration supports single-step spike trains")
+        if self.surrogate_slope <= 0:
+            raise ValueError("surrogate slope must be positive")
         if self.in_channels == 0:
             object.__setattr__(self, "in_channels", 1 + self.grid.dims)
 
@@ -78,19 +83,6 @@ class NormStats:
     in_std: float = 1.0
     out_mean: float = 0.0
     out_std: float = 1.0
-
-
-@dataclass
-class VsnParams:
-    """Leak/threshold parameters of one spiking activation site."""
-
-    beta_leak: np.ndarray
-    threshold: np.ndarray
-    steps: int = 1
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("spike train length must be >= 1")
 
 
 class WnoModel:
@@ -126,7 +118,6 @@ class WnoModel:
             glorot(f"layer{i}.k", (width, width))
             zeros(f"layer{i}.b", (width,))
             if config.activation == "vsn":
-                p[f"layer{i}.beta"] = ad.Parameter(np.full(width, 0.9), f"layer{i}.beta")
                 p[f"layer{i}.th"] = ad.Parameter(np.full(width, 0.5), f"layer{i}.th")
         glorot("proj1.w", (width, config.proj_hidden))
         zeros("proj1.b", (config.proj_hidden,))
@@ -243,7 +234,6 @@ class WnoModel:
             else:
                 v, gate = ad.vsn(
                     z,
-                    self.params[f"layer{i}.beta"],
                     self.params[f"layer{i}.th"],
                     slope=cfg.surrogate_slope,
                     smooth=smooth,
@@ -269,56 +259,16 @@ class WnoModel:
         return (targets - self.norm.out_mean) / self.norm.out_std
 
 
-def wno_forward(model: WnoModel, field_in: np.ndarray) -> np.ndarray:
-    """Single-field inference on the model's (or a dyadic) grid."""
-    arr = np.asarray(field_in, dtype=np.float64)
-    return model.predict(arr[None, ...])[0]
-
-
 # --------------------------------------------------------------------------
-# spiking primitives
+# spiking activity
 # --------------------------------------------------------------------------
-
-
-def vsn_forward(z: np.ndarray, params: VsnParams):
-    """Leaky threshold recurrence over a spike train.
-
-    z: (T, ...) inputs, one slice per time step. Per step the membrane
-    accumulates beta_leak * previous + input; reaching the threshold emits
-    a unit spike, resets the membrane, and the output is gelu(spike * input)
-    (so silent steps output exactly zero). Returns (outputs with the shape
-    of z, total spike count).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] != params.steps:
-        raise ValueError(f"expected {params.steps} time steps, got {z.shape[0]}")
-    beta = np.asarray(params.beta_leak, dtype=np.float64)
-    th = np.asarray(params.threshold, dtype=np.float64)
-    membrane = np.zeros_like(z[0])
-    outputs = np.zeros_like(z)
-    spikes = 0
-    for t in range(params.steps):
-        membrane = beta * membrane + z[t]
-        fired = membrane >= th
-        spikes += int(np.count_nonzero(fired))
-        membrane = np.where(fired, 0.0, membrane)
-        pre = np.where(fired, z[t], 0.0)
-        outputs[t], _ = ad.gelu_value_grad(pre)
-    return outputs, spikes
-
-
-def vsn_surrogate_grad(membrane, threshold, slope: float = 10.0):
-    """Smooth stand-in derivative of the firing threshold."""
-    if slope <= 0:
-        raise ValueError("surrogate slope must be positive")
-    return ad.logistic_spike_grad(membrane, threshold, slope)
 
 
 def spiking_activity(model: WnoModel, inputs: np.ndarray) -> np.ndarray:
     """Percent of emitted spikes per activation site over a dataset.
 
-    100 x spikes / (neurons x time steps x samples) for each of the L
-    spiking sites, evaluated at the model's current parameters.
+    100 x spikes / (neurons x samples) for each of the L spiking sites,
+    evaluated at the model's current parameters.
     """
     if model.config.activation != "vsn":
         raise NonSpikingModelError("model has no spiking activation sites")
@@ -347,14 +297,6 @@ class LossConfig:
             raise ValueError("loss weights must be non-negative")
 
 
-def loss_l2(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared error."""
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != np.shape(truth):
-        raise ValueError(f"shape mismatch {pred.shape} vs {np.shape(truth)}")
-    return float(np.mean((pred - truth) ** 2))
-
-
 def loss_pinball(pred: np.ndarray, truth: np.ndarray, eta: float) -> float:
     """Normwise quantile loss: eta-weighted when ||truth|| >= ||pred||."""
     if not 0.0 < eta < 1.0:
@@ -366,12 +308,6 @@ def loss_pinball(pred: np.ndarray, truth: np.ndarray, eta: float) -> float:
     gap = float(np.linalg.norm(truth - pred))
     w = eta if np.linalg.norm(truth) >= np.linalg.norm(pred) else 1.0 - eta
     return w * gap
-
-def loss_slf(base_loss: float, spike_ratio: float, alpha_w: float, beta_w: float) -> float:
-    """Weighted sum of a task loss and the spike activity ratio."""
-    if alpha_w < 0 or beta_w < 0:
-        raise ValueError("loss weights must be non-negative")
-    return alpha_w * float(base_loss) + beta_w * float(spike_ratio)
 
 
 def _loss_node(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig) -> ad.Node:
@@ -402,11 +338,6 @@ def _loss_node(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig) -> ad.
 
 
 # --------------------------------------------------------------------------
-# optimizer and training loop
-# --------------------------------------------------------------------------
-
-
-# --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
 
@@ -418,12 +349,10 @@ _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_IDS.items()}
 
 def save_model(model: WnoModel, path):
     """Write a bit-exact model checkpoint."""
-    from . import serialio as sio
-
     cfg = model.config
     with open(path, "wb") as fh:
         sio.start_file(fh, sio.CHECKPOINT_MAGIC)
-        sio._write_u32(
+        sio.write_u32(
             fh,
             cfg.width,
             cfg.layers,
@@ -432,27 +361,24 @@ def save_model(model: WnoModel, path):
             _ACTIVATION_IDS[cfg.activation],
             cfg.proj_hidden,
             cfg.in_channels,
-            cfg.spike_steps,
         )
-        sio._write_f64(fh, cfg.surrogate_slope)
+        sio.write_f64(fh, cfg.surrogate_slope)
         sio.write_grid(fh, cfg.grid)
         norm = model.norm
-        sio._write_u32(fh, 0 if norm is None else 1)
+        sio.write_u32(fh, 0 if norm is None else 1)
         if norm is not None:
-            sio._write_f64(fh, norm.in_mean, norm.in_std, norm.out_mean, norm.out_std)
+            sio.write_f64(fh, norm.in_mean, norm.in_std, norm.out_mean, norm.out_std)
         names = sorted(model.params)
-        sio._write_u32(fh, len(names))
+        sio.write_u32(fh, len(names))
         for name in names:
             sio.write_named_array(fh, name, model.params[name].value)
 
 
 def load_model(path) -> WnoModel:
-    from . import serialio as sio
-
     with open(path, "rb") as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
-        width, layers, levels, wid, aid, proj_hidden, in_ch, steps = sio._read_u32(fh, 8)
-        slope = sio._read_f64(fh)
+        width, layers, levels, wid, aid, proj_hidden, in_ch = sio.read_u32(fh, 7)
+        slope = sio.read_f64(fh)
         grid = sio.read_grid(fh)
         cfg = WnoConfig(
             grid=grid,
@@ -463,19 +389,23 @@ def load_model(path) -> WnoModel:
             activation=_ACTIVATION_NAMES[aid],
             proj_hidden=proj_hidden,
             in_channels=in_ch,
-            spike_steps=steps,
             surrogate_slope=slope,
         )
         norm = None
-        if sio._read_u32(fh):
-            vals = sio._read_f64(fh, 4)
+        if sio.read_u32(fh):
+            vals = sio.read_f64(fh, 4)
             norm = NormStats(*vals)
-        count = sio._read_u32(fh)
+        count = sio.read_u32(fh)
         params = {}
         for _ in range(count):
             name, arr = sio.read_named_array(fh)
             params[name] = ad.Parameter(arr, name)
     return WnoModel(cfg, params, norm)
+
+
+# --------------------------------------------------------------------------
+# optimizer and training loop
+# --------------------------------------------------------------------------
 
 
 @dataclass

@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import GridSpec
 
-CHECKPOINT_MAGIC = b"OPCERT01"
+# OPCERT02: the model header dropped the spike-train length of OPCERT01
+CHECKPOINT_MAGIC = b"OPCERT02"
 DATASET_MAGIC = b"OPDATA01"
 QFIELD_MAGIC = b"OPQFLD01"
 VERSION = 1
@@ -23,11 +24,11 @@ class FormatError(ValueError):
     """File does not match the expected container layout."""
 
 
-def _write_u32(fh, *values):
+def write_u32(fh, *values):
     fh.write(struct.pack("<" + "I" * len(values), *values))
 
 
-def _read_u32(fh, count=1):
+def read_u32(fh, count=1):
     raw = fh.read(4 * count)
     if len(raw) != 4 * count:
         raise FormatError("truncated file while reading integers")
@@ -35,11 +36,11 @@ def _read_u32(fh, count=1):
     return vals[0] if count == 1 else vals
 
 
-def _write_f64(fh, *values):
+def write_f64(fh, *values):
     fh.write(struct.pack("<" + "d" * len(values), *values))
 
 
-def _read_f64(fh, count=1):
+def read_f64(fh, count=1):
     raw = fh.read(8 * count)
     if len(raw) != 8 * count:
         raise FormatError("truncated file while reading floats")
@@ -47,20 +48,20 @@ def _read_f64(fh, count=1):
     return vals[0] if count == 1 else vals
 
 
-def _write_array(fh, arr: np.ndarray):
+def write_array(fh, arr: np.ndarray):
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    _write_u32(fh, arr.ndim, *arr.shape)
+    write_u32(fh, arr.ndim, *arr.shape)
     fh.write(arr.tobytes())
 
 
-def _read_array(fh) -> np.ndarray:
-    ndim = _read_u32(fh)
+def read_array(fh) -> np.ndarray:
+    ndim = read_u32(fh)
     if ndim == 0:
         shape = ()
     elif ndim == 1:
-        shape = (_read_u32(fh),)
+        shape = (read_u32(fh),)
     else:
-        shape = tuple(_read_u32(fh, ndim))
+        shape = tuple(read_u32(fh, ndim))
     count = int(np.prod(shape)) if shape else 1
     raw = fh.read(8 * count)
     if len(raw) != 8 * count:
@@ -70,28 +71,28 @@ def _read_array(fh) -> np.ndarray:
 
 def write_named_array(fh, name: str, arr: np.ndarray):
     encoded = name.encode("utf-8")
-    _write_u32(fh, len(encoded))
+    write_u32(fh, len(encoded))
     fh.write(encoded)
-    _write_array(fh, arr)
+    write_array(fh, arr)
 
 
 def read_named_array(fh):
-    name_len = _read_u32(fh)
+    name_len = read_u32(fh)
     name = fh.read(name_len).decode("utf-8")
-    return name, _read_array(fh)
+    return name, read_array(fh)
 
 
 def write_grid(fh, grid: GridSpec):
-    _write_u32(fh, grid.dims, *grid.resolution)
+    write_u32(fh, grid.dims, *grid.resolution)
     for lo, hi in grid.extent:
-        _write_f64(fh, lo, hi)
+        write_f64(fh, lo, hi)
 
 
 def read_grid(fh) -> GridSpec:
-    dims = _read_u32(fh)
-    res = _read_u32(fh, dims)
+    dims = read_u32(fh)
+    res = read_u32(fh, dims)
     res = (res,) if dims == 1 else tuple(res)
-    extent = tuple((_read_f64(fh), _read_f64(fh)) for _ in range(dims))
+    extent = tuple((read_f64(fh), read_f64(fh)) for _ in range(dims))
     return GridSpec(res, extent)
 
 
@@ -99,14 +100,14 @@ def check_magic(fh, magic: bytes):
     got = fh.read(len(magic))
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    version = _read_u32(fh)
+    version = read_u32(fh)
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
 
 
 def start_file(fh, magic: bytes):
     fh.write(magic)
-    _write_u32(fh, VERSION)
+    write_u32(fh, VERSION)
 
 
 # --- manifests: plain `key = value` text ------------------------------------

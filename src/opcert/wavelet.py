@@ -2,10 +2,8 @@
 
 All transforms use periodic (circular) boundary handling, which keeps the
 coefficient count equal to the sample count and makes the multilevel
-transform an exactly orthogonal map for any even length. Signals whose
-length is not divisible by 2^levels can optionally be symmetric-padded to
-the next multiple; the padding is recorded in the coefficient container
-and undone on reconstruction.
+transform an exactly orthogonal map for any even length. A multilevel
+transform needs a length divisible by 2^levels; callers pad beforehand.
 
 The adjoint of the packed forward transform equals the packed inverse
 (orthogonality), which is the gradient rule relied on elsewhere.
@@ -51,10 +49,6 @@ _FAMILIES = {"db4": _DB4_LO, "db6": _DB6_LO}
 
 class DecompositionError(ValueError):
     """Signal length incompatible with the requested decomposition depth."""
-
-
-class CoefficientError(ValueError):
-    """Coefficient container inconsistent with its recorded geometry."""
 
 
 @dataclass(frozen=True)
@@ -130,8 +124,6 @@ def _analysis_step(x: np.ndarray, filt: WaveletFilter):
 
 def _synthesis_step(lo: np.ndarray, hi: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     """Transpose of _analysis_step; exact inverse by orthogonality."""
-    if lo.shape != hi.shape:
-        raise CoefficientError(f"subband shapes differ: {lo.shape} vs {hi.shape}")
     n = 2 * lo.shape[-1]
     return np.concatenate([lo, hi], axis=-1) @ _step_matrix(filt.name, n)
 
@@ -143,88 +135,6 @@ def _check_depth(n: int, levels: int, what: str):
         raise DecompositionError(
             f"{what} length {n} not divisible by 2^{levels}; pad or reduce levels"
         )
-
-
-@dataclass
-class DwtCoefficients:
-    """Multilevel coefficients: coarsest approximation plus per-level details.
-
-    details[k] holds level k+1 (index 0 = finest). For 2D, each entry is a
-    (detail_x, detail_y, detail_xy) triple, the letter naming the axis the
-    highpass acted on. pad gives trailing symmetric padding applied per
-    dimension before the transform; original_shape is the pre-pad shape.
-    """
-
-    approx: np.ndarray
-    details: list
-    levels: int
-    original_shape: tuple[int, ...]
-    pad: tuple[int, ...]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.original_shape)
-
-    @property
-    def padded_shape(self) -> tuple[int, ...]:
-        return tuple(s + p for s, p in zip(self.original_shape, self.pad))
-
-    def total_count(self) -> int:
-        count = self.approx.size
-        for d in self.details:
-            count += d.size if self.ndim == 1 else sum(part.size for part in d)
-        return count
-
-
-def _pad_amounts(shape, levels, pad_to_fit):
-    block = 1 << levels
-    pad = tuple((-s) % block for s in shape)
-    if any(pad) and not pad_to_fit:
-        raise DecompositionError(
-            f"shape {tuple(shape)} not divisible by 2^{levels}; "
-            "pass pad_to_fit=True to symmetric-pad"
-        )
-    return pad
-
-
-def dwt_multilevel(
-    signal: np.ndarray, filt: WaveletFilter, levels: int, pad_to_fit: bool = False
-) -> DwtCoefficients:
-    """Mallat cascade of a 1D signal with periodic boundary handling."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise DecompositionError(f"expected 1D signal, got shape {x.shape}")
-    if levels < 1:
-        raise DecompositionError(f"levels must be >= 1, got {levels}")
-    pad = _pad_amounts(x.shape, levels, pad_to_fit)
-    original_shape = x.shape
-    if pad[0]:
-        x = np.pad(x, (0, pad[0]), mode="symmetric")
-    details = []  # appended finest first: details[k] is level k+1
-    for _ in range(levels):
-        x, hi = _analysis_step(x, filt)
-        details.append(hi)
-    return DwtCoefficients(x, details, levels, original_shape, pad)
-
-
-def idwt_multilevel(coeffs: DwtCoefficients, filt: WaveletFilter) -> np.ndarray:
-    """Exact inverse of dwt_multilevel (crops any recorded padding)."""
-    if coeffs.ndim != 1:
-        raise CoefficientError("expected 1D coefficients")
-    x = coeffs.approx
-    expected = coeffs.padded_shape[0] >> coeffs.levels
-    if x.shape[-1] != expected:
-        raise CoefficientError(
-            f"approximation length {x.shape[-1]} != recorded {expected}"
-        )
-    for level in range(coeffs.levels, 0, -1):
-        hi = coeffs.details[level - 1]
-        if hi.shape != x.shape:
-            raise CoefficientError(
-                f"level-{level} detail shape {hi.shape} != {x.shape}"
-            )
-        x = _synthesis_step(x, hi, filt)
-    return x[: coeffs.original_shape[0]]
 
 
 def _analysis_step_2d(x: np.ndarray, filt: WaveletFilter):
@@ -241,42 +151,6 @@ def _synthesis_step_2d(a, dets, filt: WaveletFilter) -> np.ndarray:
     lo = np.swapaxes(_synthesis_step(np.swapaxes(a, -1, -2), np.swapaxes(dx, -1, -2), filt), -1, -2)
     hi = np.swapaxes(_synthesis_step(np.swapaxes(dy, -1, -2), np.swapaxes(dxy, -1, -2), filt), -1, -2)
     return _synthesis_step(lo, hi, filt)
-
-
-def dwt2d_multilevel(
-    field: np.ndarray, filt: WaveletFilter, levels: int, pad_to_fit: bool = False
-) -> DwtCoefficients:
-    """Separable 2D cascade (both axes halved per level)."""
-    x = np.asarray(field, dtype=np.float64)
-    if x.ndim != 2:
-        raise DecompositionError(f"expected 2D field, got shape {x.shape}")
-    if levels < 1:
-        raise DecompositionError(f"levels must be >= 1, got {levels}")
-    pad = _pad_amounts(x.shape, levels, pad_to_fit)
-    original_shape = x.shape
-    if any(pad):
-        x = np.pad(x, ((0, pad[0]), (0, pad[1])), mode="symmetric")
-    details = []
-    for _ in range(levels):
-        x, dets = _analysis_step_2d(x, filt)
-        details.append(dets)
-    return DwtCoefficients(x, details, levels, original_shape, pad)
-
-
-def idwt2d_multilevel(coeffs: DwtCoefficients, filt: WaveletFilter) -> np.ndarray:
-    if coeffs.ndim != 2:
-        raise CoefficientError("expected 2D coefficients")
-    x = coeffs.approx
-    expected = tuple(s >> coeffs.levels for s in coeffs.padded_shape)
-    if x.shape != expected:
-        raise CoefficientError(f"approximation shape {x.shape} != recorded {expected}")
-    for level in range(coeffs.levels, 0, -1):
-        dets = coeffs.details[level - 1]
-        if any(d.shape != x.shape for d in dets):
-            raise CoefficientError(f"level-{level} detail shapes inconsistent")
-        x = _synthesis_step_2d(x, dets, filt)
-    h, w = coeffs.original_shape
-    return x[:h, :w]
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,8 @@ class TestWaveletOps:
 class TestVsnOp:
     def test_hard_forward_binary_gate(self):
         x = ad.constant(np.array([[0.2, 2.0, -1.0]]))
-        beta = ad.Parameter(np.full(3, 0.9), "beta")
         th = ad.Parameter(np.full(3, 1.0), "th")
-        out, gate = ad.vsn(x, beta, th)
+        out, gate = ad.vsn(x, th)
         assert np.array_equal(gate.value, [[0.0, 1.0, 0.0]])
         assert out.value[0, 0] == 0.0 and out.value[0, 2] == 0.0
         gelu2, _ = ad.gelu_value_grad(np.array(2.0))
@@ -159,23 +158,14 @@ class TestVsnOp:
     def test_smooth_mode_matches_fd(self):
         gen = np.random.default_rng(9)
         x = ad.Parameter(gen.standard_normal((4, 5)), "x")
-        beta = ad.Parameter(np.full(5, 0.9), "beta")
         th = ad.Parameter(gen.uniform(-0.5, 0.5, 5), "th")
 
         def closure():
-            out, gate = ad.vsn(x, beta, th, slope=10.0, smooth=True)
+            out, gate = ad.vsn(x, th, slope=10.0, smooth=True)
             return ad.add(ad.mean_all(out), ad.scale(ad.mean_all(gate), 0.3))
 
         errors = ad.grad_check(closure, [x, th], eps=1e-5, samples=20)
         assert max(errors.values()) < 1e-4
-
-    def test_beta_gradient_zero_single_step(self):
-        x = ad.Parameter(np.ones((2, 3)), "x")
-        beta = ad.Parameter(np.full(3, 0.9), "beta")
-        th = ad.Parameter(np.zeros(3), "th")
-        out, _ = ad.vsn(x, beta, th)
-        ad.backward(ad.mean_all(out))
-        assert np.array_equal(beta.grad, np.zeros(3))
 
     def test_surrogate_derivative_values(self):
         # logistic derivative peak k/4 at the threshold

@@ -1,0 +1,171 @@
+"""End-to-end runs of the `opcert` command line on a tiny Burgers problem.
+
+A 16-point dataset is drawn from a 64-point solver, and every model trains
+for one epoch (ensembles with two members), so the module runs in seconds.
+Each subcommand is checked for its exit code and artifacts, and each
+failure path for its documented exit code.
+"""
+
+import shutil
+import warnings
+
+import numpy as np
+import pytest
+
+from opcert import cli
+from opcert import conformal as cf
+from opcert import datagen as dg
+from opcert import ensemble as ens
+from opcert import neuralop as no
+from opcert.core import SeededRng
+
+# seed 1 draws no sample that the Burgers solver fails on at this size
+TINY = {"n_c": 2, "epochs": 1, "seed": 1, "n_train": 8, "n_calibration": 20,
+        "n_test": 4, "resolution": 16, "solver_resolution": 64}
+SLF_BETA = 0.1  # rp-vswno trains on the spike-penalized loss
+
+
+def write_config(path, **entries):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return path
+
+
+def opcert(*argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # per-step solver stability warnings
+        return cli.main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def root(tmp_path_factory):
+    """Data at 16 and 32 points, and a trained, calibrated run per model kind."""
+    root = tmp_path_factory.mktemp("cli")
+    cfg = write_config(root / "run.cfg", **TINY)
+    assert opcert("generate-data", "--config", cfg, "--out", root / "data") == 0
+    hi = write_config(root / "hi.cfg", **{**TINY, "resolution": 32})
+    assert opcert("generate-data", "--config", hi, "--out", root / "data_hi") == 0
+    for model in cli.MODEL_KINDS:
+        extra = {"slf_beta": SLF_BETA} if model == "rp-vswno" else {}
+        mcfg = write_config(root / f"{model}.cfg", **TINY, model=model, **extra)
+        assert opcert("train", "--config", mcfg, "--data", root / "data",
+                      "--out", root / model) == 0
+        assert opcert("calibrate", "--ckpt", root / model, "--data", root / "data",
+                      "--out", root / model / "q.qfield") == 0
+    return root
+
+
+def test_generate_data_writes_splits(root):
+    for split, count in (("train", 8), ("calibration", 20), ("test", 4)):
+        kind, grid, inputs, outputs = dg.read_dataset(root / "data" / f"{split}.opdata")
+        assert (kind, grid.shape, inputs.shape) == ("burgers", (16,), (count, 16))
+        assert outputs.shape == inputs.shape
+    assert (root / "data" / "manifest.txt").is_file()
+    assert (root / "data" / "run_manifest.txt").is_file()
+    assert dg.read_dataset(root / "data_hi" / "test.opdata")[1].shape == (32,)
+
+
+@pytest.mark.parametrize("model", cli.MODEL_KINDS)
+def test_train_and_calibrate_artifacts(root, model):
+    out = root / model
+    if model == "q-wno":
+        names = ["lo.ckpt", "hi.ckpt"]
+    else:
+        names = [f"member_{i:03d}{tag}.ckpt" for i in range(2) for tag in ("", "_prior")]
+    for name in names + ["manifest.txt", "run_manifest.txt"]:
+        assert (out / name).is_file(), name
+    traces = (out / "loss_traces.csv").read_text().splitlines()
+    assert traces[0] == "member,epoch,loss" and len(traces) == 3  # two models, one epoch
+    qf = cf.load_qfield(out / "q.qfield")
+    assert qf.values.shape == (16,) and np.all(np.isfinite(qf.values))
+
+
+@pytest.mark.parametrize("model", cli.MODEL_KINDS)
+def test_evaluate_writes_coverage(root, model, tmp_path):
+    out = tmp_path / "coverage.csv"
+    assert opcert("evaluate", "--ckpt", root / model, "--qfield", root / model / "q.qfield",
+                  "--data", root / "data", "--out", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert sum(row[0] == "location" for row in rows) == 16
+    assert [row[1] for row in rows if row[0] == "summary"] == ["calibrated", "uncalibrated"]
+    assert rows[-1][0] == "nmse_percent"
+
+
+def test_superres_transfers_to_finer_grid(root, tmp_path):
+    out = tmp_path / "coverage_hi.csv"
+    assert opcert("superres", "--ckpt", root / "rp-wno", "--qfield", root / "rp-wno" / "q.qfield",
+                  "--data-hi", root / "data_hi", "--out", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert sum(row[0] == "location" for row in rows) == 32
+
+
+def test_spiking_report(root, tmp_path):
+    out = tmp_path / "spikes.csv"
+    assert opcert("spiking-report", "--ckpt", root / "rp-vswno", "--data", root / "data",
+                  "--out", out) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "site,activity_percent"
+    assert len(rows) == 1 + cli.RunConfig().layers
+    assert all(0.0 <= float(row.split(",")[1]) <= 100.0 for row in rows[1:])
+
+
+@pytest.mark.parametrize("model", ["rp-wno", "rp-vswno"])
+def test_train_matches_library_bytes(root, model, tmp_path):
+    run = cli.load_config(root / f"{model}.cfg")
+    _, grid, inputs, targets = dg.read_dataset(root / "data" / "train.opdata")
+    loss = no.LossConfig("l2")
+    if model == "rp-vswno":
+        loss = no.LossConfig("slf", alpha_w=run.slf_alpha, beta_w=SLF_BETA)
+    ensemble, _ = ens.rp_train(
+        inputs, targets, cli._wno_config(run, grid), run.n_c, run.prior_weight,
+        SeededRng(run.seed, cli.TRAIN_STREAM), loss, run.epochs, run.batch, run.lr,
+    )
+    ens.save_ensemble(ensemble, tmp_path)
+    names = sorted(p.name for p in tmp_path.glob("*.ckpt"))
+    assert names == sorted(p.name for p in (root / model).glob("*.ckpt"))
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (root / model / name).read_bytes(), name
+
+
+# --------------------------------------------------------------------------
+# failure paths and their exit codes
+# --------------------------------------------------------------------------
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", **TINY, bogus=1)
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_missing_split_exits_3(root, tmp_path):
+    (tmp_path / "empty").mkdir()
+    assert opcert("train", "--config", root / "run.cfg", "--data", tmp_path / "empty",
+                  "--out", tmp_path / "ckpt") == 3
+
+
+def test_superres_on_quantile_checkpoint_exits_2(root, tmp_path):
+    assert opcert("superres", "--ckpt", root / "q-wno", "--qfield", root / "q-wno" / "q.qfield",
+                  "--data-hi", root / "data_hi", "--out", tmp_path / "cov.csv") == 2
+
+
+def test_spiking_report_on_continuous_model_exits_7(root, tmp_path):
+    assert opcert("spiking-report", "--ckpt", root / "rp-wno", "--data", root / "data",
+                  "--out", tmp_path / "spikes.csv") == 7
+
+
+def test_old_checkpoint_format_exits_3(root, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(root / "rp-wno", ckpt)
+    member = ckpt / "member_000.ckpt"
+    member.write_bytes(b"OPCERT01" + member.read_bytes()[8:])
+    assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
+                  "--out", tmp_path / "q.qfield") == 3
+
+
+def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys):
+    # the default physics at seed 0 blows up on calibration sample 6, after
+    # the train split has been drawn
+    cfg = write_config(tmp_path / "run.cfg", seed=0, n_train=1, n_calibration=7, n_test=1)
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 8
+    assert "calibration[6]" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.opdata"))

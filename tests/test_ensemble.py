@@ -175,19 +175,6 @@ class TestTraining:
             )
 
 
-class TestSelection:
-    def test_keeps_best_members(self):
-        x = np.zeros((2, 4))
-        y = np.full((2, 4), 1.0)
-        ensemble = fake_ensemble([1.0, 5.0, 1.2])
-        kept = ens.select_members(ensemble, x, y, keep=2)
-        assert [m.value for m in kept.members] == [1.0, 1.2]
-
-    def test_bad_keep_rejected(self):
-        with pytest.raises(ValueError):
-            ens.select_members(fake_ensemble([1.0]), np.zeros((1, 1)), np.zeros((1, 1)), 2)
-
-
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         gen = SeededRng(13).generator()

@@ -87,55 +87,41 @@ class TestForward:
 
 
 class TestVsnForward:
-    def test_subthreshold_sequence(self):
-        params = no.VsnParams(np.array(0.5), np.array(1.0), steps=2)
-        out, spikes = no.vsn_forward(np.array([[0.6], [0.6]]), params)
-        # membranes 0.6 then 0.9: never reaches 1.0
-        assert spikes == 0
-        assert np.array_equal(out, np.zeros((2, 1)))
+    """The single-step spiking activation as the network applies it."""
 
     def test_immediate_spike(self):
-        params = no.VsnParams(np.array(0.5), np.array(1.0), steps=1)
-        out, spikes = no.vsn_forward(np.array([[2.0]]), params)
-        assert spikes == 1
+        out, gate = ad.vsn(ad.constant(np.array([[2.0]])), ad.constant(np.array([1.0])))
+        assert gate.value[0, 0] == 1.0
         expected, _ = ad.gelu_value_grad(np.array(2.0))
-        assert abs(out[0, 0] - expected) < 1e-15
+        assert abs(out.value[0, 0] - expected) < 1e-15
 
     def test_zero_input_silent(self):
-        params = no.VsnParams(np.array(0.9), np.array(0.5), steps=4)
-        out, spikes = no.vsn_forward(np.zeros((4, 3)), params)
-        assert spikes == 0
-        assert np.array_equal(out, np.zeros((4, 3)))
+        out, gate = ad.vsn(ad.constant(np.zeros((4, 3))), ad.constant(np.full(3, 0.5)))
+        assert np.array_equal(gate.value, np.zeros((4, 3)))
+        assert np.array_equal(out.value, np.zeros((4, 3)))
 
     def test_matches_hand_stepped_oracle(self):
         gen = SeededRng(12).generator()
         for _ in range(50):
-            steps = int(gen.integers(1, 6))
+            batch = int(gen.integers(1, 6))
             width = int(gen.integers(1, 4))
-            beta = gen.uniform(0.0, 1.2, width)
             th = gen.uniform(-0.5, 1.5, width)
-            z = gen.standard_normal((steps, width)) * 2.0
-            out, spikes = no.vsn_forward(z, no.VsnParams(beta, th, steps))
-            # independent scalar re-implementation
-            exp_spikes = 0
-            for c in range(width):
-                m = 0.0
-                for t in range(steps):
-                    m = beta[c] * m + z[t, c]
-                    if m >= th[c]:
-                        exp_spikes += 1
-                        m = 0.0
-                        ref, _ = ad.gelu_value_grad(np.array(z[t, c]))
-                    else:
-                        ref = 0.0
-                    assert out[t, c] == pytest.approx(float(ref), abs=0.0)
-            assert spikes == exp_spikes
+            z = gen.standard_normal((batch, width)) * 2.0
+            out, gate = ad.vsn(ad.constant(z), ad.constant(th))
+            # independent scalar re-implementation: the membrane starts at
+            # zero, so after one step it equals the input
+            for b in range(batch):
+                for c in range(width):
+                    fired = z[b, c] >= th[c]
+                    ref = ad.gelu_value_grad(np.array(z[b, c]))[0] if fired else 0.0
+                    assert gate.value[b, c] == float(fired)
+                    assert out.value[b, c] == pytest.approx(float(ref), abs=0.0)
 
     def test_surrogate_grad_contract(self):
-        assert no.vsn_surrogate_grad(1.0, 1.0, 10.0) == pytest.approx(2.5)
-        assert no.vsn_surrogate_grad(0.1, 0.0, 10.0) == pytest.approx(1.9661, abs=1e-3)
+        assert ad.logistic_spike_grad(1.0, 1.0, 10.0) == pytest.approx(2.5)
+        assert ad.logistic_spike_grad(0.1, 0.0, 10.0) == pytest.approx(1.9661, abs=1e-3)
         with pytest.raises(ValueError):
-            no.vsn_surrogate_grad(0.0, 0.0, -1.0)
+            small_config(activation="vsn", surrogate_slope=-1.0)
 
 
 class TestSpikingActivity:
@@ -150,7 +136,6 @@ class TestSpikingActivity:
         model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(15))
         for i in range(model.config.layers):
             model.params[f"layer{i}.th"].value[...] = -1e6
-            model.params[f"layer{i}.beta"].value[...] = 0.0
         x = np.abs(SeededRng(16).generator().standard_normal((3, 64))) + 0.1
         assert np.array_equal(no.spiking_activity(model, x), np.full(2, 100.0))
 
@@ -188,11 +173,24 @@ class TestLosses:
             no.loss_pinball(np.ones(2), np.ones(2), 1.5)
 
     def test_slf_reduces_to_base(self):
-        assert no.loss_slf(0.7, 0.3, 1.0, 0.0) == pytest.approx(0.7)
-        assert no.loss_slf(0.7, 0.3, 2.0, 0.5) == pytest.approx(1.55)
+        # the training objective: alpha * mse + beta * mean spike rate
+        gen = SeededRng(38).generator()
+        pred = ad.constant(gen.standard_normal((2, 8, 1)))
+        target = gen.standard_normal((2, 8))
+        gate = ad.constant((gen.standard_normal((2, 8, 3)) > 0).astype(np.float64))
+        mse = float(np.mean((pred.value[..., 0] - target) ** 2))
+        rate = float(np.mean(gate.value))
+        base = no._loss_node(pred, [gate], target, no.LossConfig("slf", alpha_w=1.0))
+        assert float(base.value) == pytest.approx(mse, rel=1e-12)
+        mixed = no._loss_node(
+            pred, [gate], target, no.LossConfig("slf", alpha_w=2.0, beta_w=0.5)
+        )
+        assert float(mixed.value) == pytest.approx(2.0 * mse + 0.5 * rate, rel=1e-12)
 
     def test_l2_is_mse(self):
-        assert no.loss_l2(np.zeros(4), np.full(4, 2.0)) == pytest.approx(4.0)
+        pred = ad.constant(np.zeros((1, 4, 1)))
+        loss = no._loss_node(pred, [], np.full((1, 4), 2.0), no.LossConfig("l2"))
+        assert float(loss.value) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("eta", [0.025, 0.5, 0.975])
     def test_constant_pinball_minimizer_is_quantile(self, eta):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from opcert import autodiff as ad
+from opcert import neuralop as no
 from opcert import wavelet as wv
+from opcert.core import GridSpec
 
 
 def analysis_matrix(filt, n):
@@ -56,30 +59,29 @@ class TestFilters:
 
 class TestDwt1d:
     def test_constant_annihilated(self):
-        c = wv.dwt_multilevel(np.ones(64), wv.get_filter("db4"), 2)
-        for d in c.details:
-            assert np.max(np.abs(d)) < 1e-10
+        c = wv.dwt_packed(np.ones(64), wv.get_filter("db4"), 2)
+        assert np.max(np.abs(c[16:])) < 1e-10  # every detail coefficient
 
     def test_energy_preserved(self):
         gen = np.random.default_rng(0)
         x = gen.standard_normal(256)
-        c = wv.dwt_multilevel(x, wv.get_filter("db6"), 3)
-        energy = np.sum(c.approx**2) + sum(np.sum(d**2) for d in c.details)
-        assert abs(energy - np.sum(x**2)) < 1e-10 * np.sum(x**2)
+        c = wv.dwt_packed(x, wv.get_filter("db6"), 3)
+        assert abs(np.sum(c**2) - np.sum(x**2)) < 1e-10 * np.sum(x**2)
 
     def test_total_count_equals_length(self):
-        x = np.random.default_rng(1).standard_normal(128)
-        c = wv.dwt_multilevel(x, wv.get_filter("db4"), 4)
-        assert c.total_count() == 128
+        # leading batch axes pass through, the transformed axis keeps its length
+        x = np.random.default_rng(1).standard_normal((2, 3, 128))
+        c = wv.dwt_packed(x, wv.get_filter("db4"), 4)
+        assert c.shape == x.shape
+        single = wv.dwt_packed(x[1, 2], wv.get_filter("db4"), 4)
+        assert np.max(np.abs(c[1, 2] - single)) < 1e-12
 
     def test_matches_matrix_oracle(self):
         f = wv.get_filter("db6")
         x = np.random.default_rng(2).standard_normal(64)
         mat = multilevel_matrix(f, 64, 3)
         oracle = mat @ x
-        c = wv.dwt_multilevel(x, f, 3)
-        packed = np.concatenate([c.approx, c.details[2], c.details[1], c.details[0]])
-        assert np.max(np.abs(packed - oracle)) < 1e-12
+        assert np.max(np.abs(wv.dwt_packed(x, f, 3) - oracle)) < 1e-12
         # the oracle matrix must itself be orthogonal
         assert np.max(np.abs(mat @ mat.T - np.eye(64))) < 1e-12
 
@@ -87,23 +89,16 @@ class TestDwt1d:
         f = wv.get_filter("db4")
         n, levels = 32, 2
         mat_inv = multilevel_matrix(f, n, levels).T  # orthogonal inverse
-        approx = np.zeros(n >> levels)
-        approx[3] = 1.0
-        coeffs = wv.DwtCoefficients(
-            approx,
-            [np.zeros(n >> k) for k in range(1, levels + 1)],
-            levels,
-            (n,),
-            (0,),
-        )
-        rec = wv.idwt_multilevel(coeffs, f)
+        impulse = np.zeros(n)
+        impulse[3] = 1.0  # inside the approximation block
+        rec = wv.idwt_packed(impulse, f, levels)
         assert np.max(np.abs(rec - mat_inv[:, 3])) < 1e-12
 
     @pytest.mark.parametrize("name", ["db4", "db6"])
     def test_roundtrip(self, name):
         f = wv.get_filter(name)
         x = np.random.default_rng(3).standard_normal(128)
-        back = wv.idwt_multilevel(wv.dwt_multilevel(x, f, 3), f)
+        back = wv.idwt_packed(wv.dwt_packed(x, f, 3), f, 3)
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_linearity(self):
@@ -125,47 +120,44 @@ class TestDwt1d:
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(wv.DecompositionError):
-            wv.dwt_multilevel(np.ones(60), wv.get_filter("db4"), 3)
+            wv.dwt_packed(np.ones(60), wv.get_filter("db4"), 3)
         with pytest.raises(wv.DecompositionError):
-            wv.dwt_multilevel(np.ones(64), wv.get_filter("db4"), 0)
+            wv.dwt_packed(np.ones(64), wv.get_filter("db4"), 0)
+
 
     def test_padding_records_and_roundtrips(self):
+        # a non-dyadic 1D grid is symmetric-padded to the next multiple of
+        # 2^levels before the transform and cropped after the inverse
+        cfg = no.WnoConfig(grid=GridSpec((85,)), levels=2, wavelet="db4")
+        assert cfg.padded_resolution == (88,)
         f = wv.get_filter("db4")
-        x = np.random.default_rng(6).standard_normal(85)
-        c = wv.dwt_multilevel(x, f, 2, pad_to_fit=True)
-        assert c.pad == (3,)
-        assert np.max(np.abs(wv.idwt_multilevel(c, f) - x)) < 1e-9
-
-    def test_inconsistent_coefficients_rejected(self):
-        f = wv.get_filter("db4")
-        c = wv.dwt_multilevel(np.ones(64), f, 2)
-        c.details[0] = c.details[0][:-1]
-        with pytest.raises(wv.CoefficientError):
-            wv.idwt_multilevel(c, f)
+        x = ad.constant(np.random.default_rng(6).standard_normal((1, 85, 2)))
+        coeffs = ad.dwt1d(ad.sympad1d(x, 3), f, 2)
+        back = ad.crop1d(ad.idwt1d(coeffs, f, 2), 85)
+        assert np.max(np.abs(back.value - x.value)) < 1e-9
 
 
 class TestDwt2d:
     def test_constant_field(self):
-        c = wv.dwt2d_multilevel(np.ones((32, 32)), wv.get_filter("db4"), 2)
-        for level in c.details:
-            for band in level:
-                assert np.max(np.abs(band)) < 1e-10
+        c = wv.dwt2d_packed(np.ones((32, 32)), wv.get_filter("db4"), 2)
+        c[:8, :8] = 0.0  # drop the approximation block, keep every detail
+        assert np.max(np.abs(c)) < 1e-10
 
     def test_roundtrip_and_energy(self):
         f = wv.get_filter("db4")
         x = np.random.default_rng(7).standard_normal((64, 64))
-        c = wv.dwt2d_multilevel(x, f, 2)
-        back = wv.idwt2d_multilevel(c, f)
+        c = wv.dwt2d_packed(x, f, 2)
+        back = wv.idwt2d_packed(c, f, 2)
         assert np.max(np.abs(back - x)) < 1e-9
-        energy = np.sum(c.approx**2) + sum(
-            np.sum(b**2) for level in c.details for b in level
-        )
-        assert abs(energy - np.sum(x**2)) < 1e-9 * np.sum(x**2)
+        assert abs(np.sum(c**2) - np.sum(x**2)) < 1e-9 * np.sum(x**2)
 
     def test_count_preserved(self):
+        # a non-square field keeps its shape and round-trips
+        f = wv.get_filter("db4")
         x = np.random.default_rng(8).standard_normal((32, 16))
-        c = wv.dwt2d_multilevel(x, wv.get_filter("db4"), 2)
-        assert c.total_count() == 32 * 16
+        c = wv.dwt2d_packed(x, f, 2)
+        assert c.shape == (32, 16)
+        assert np.max(np.abs(wv.idwt2d_packed(c, f, 2) - x)) < 1e-9
 
     def test_matches_separable_matrix_oracle(self):
         f = wv.get_filter("db4")
@@ -173,27 +165,5 @@ class TestDwt2d:
         x = np.random.default_rng(9).standard_normal((n, n))
         m = analysis_matrix(f, n)
         oracle = m @ x @ m.T  # rows then columns, one level
-        c = wv.dwt2d_multilevel(x, f, 1)
-        h = n // 2
-        packed = np.zeros((n, n))
-        packed[:h, :h] = c.approx
-        dx, dy, dxy = c.details[0]
-        packed[:h, h:] = dy
-        packed[h:, :h] = dx
-        packed[h:, h:] = dxy
+        packed = wv.dwt2d_packed(x, f, 1)
         assert np.max(np.abs(packed - oracle)) < 1e-12
-
-    def test_packed_matches_container(self):
-        f = wv.get_filter("db6")
-        x = np.random.default_rng(10).standard_normal((32, 32))
-        packed = wv.dwt2d_packed(x, f, 2)
-        c = wv.dwt2d_multilevel(x, f, 2)
-        assert np.max(np.abs(packed[:8, :8] - c.approx)) < 1e-12
-        assert np.max(np.abs(wv.idwt2d_packed(packed, f, 2) - x)) < 1e-9
-
-    def test_2d_padding(self):
-        f = wv.get_filter("db4")
-        x = np.random.default_rng(11).standard_normal((85, 85))
-        c = wv.dwt2d_multilevel(x, f, 4, pad_to_fit=True)
-        assert c.pad == (11, 11)
-        assert np.max(np.abs(wv.idwt2d_multilevel(c, f) - x)) < 1e-9

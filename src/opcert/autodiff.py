@@ -6,6 +6,19 @@ once in reverse topological order and accumulates into Parameter.grad.
 Values are float64 ndarrays with an explicit batch-first layout where the
 ops say so; there is no implicit broadcasting between two nodes.
 
+The wavelet ops act on the coarsest approximation only. `dwt1d` returns
+A v for the level-L approximation analysis A of `wavelet.lowpass_pair`
+(its backward is A^T g), `idwt1d` is the matching synthesis, and
+`wavelet_scale` gives a @ r - a. Because A^T A projects onto V_L and the
+details pass through unchanged, the full transform-mix-inverse of a layer
+equals v + idwt1d(wavelet_scale(dwt1d(v), r)). Symmetric padding of grids
+that 2^L does not divide is folded into the pair; `dwt2d`/`idwt2d` apply
+it separably along H and W.
+
+gelu keeps only its cdf from the forward and forms the derivative inside
+its gradient closure, so a forward that is never differentiated pays for
+no exp and holds no derivative array.
+
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate for the
 threshold derivative (the values seen by the backward are the hard ones).
@@ -15,6 +28,8 @@ match the analytic gradients, which is how spiking models are checked.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf, expit
@@ -127,16 +142,25 @@ def bias_add(x: Node, b: Node) -> Node:
     return Node(x.value + b.value, (x, b), (lambda g: g, lambda g: g.sum(axis=lead)))
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
 def gelu_value_grad(x: np.ndarray):
     """Exact (erf-based) gelu and its derivative."""
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return x * cdf, cdf + x * pdf
+    cdf = _gelu_cdf(x)
+    return x * cdf, _gelu_slope(x, cdf)
 
 
 def gelu(x: Node) -> Node:
-    val, dval = gelu_value_grad(x.value)
-    return Node(val, (x,), (lambda g: g * dval,))
+    """gelu; the derivative is formed only if the backward runs."""
+    xv = x.value
+    cdf = _gelu_cdf(xv)
+    return Node(xv * cdf, (x,), (lambda g: g * _gelu_slope(xv, cdf),))
 
 
 def reshape(x: Node, shape) -> Node:
@@ -186,119 +210,75 @@ def dot_const(x: Node, weights: np.ndarray) -> Node:
 # --- wavelet-domain ops ----------------------------------------------------
 
 
+def _separable(v: np.ndarray, mats, shape) -> np.ndarray:
+    """Apply mats[i] along grid axis i of (..., prod(shape), C) fields."""
+    lead, ch = v.shape[:-2], v.shape[-1]
+    shape = list(shape)
+    out = v
+    for i, m in enumerate(mats):
+        before = math.prod(shape[:i])
+        after = math.prod(shape[i + 1 :]) * ch
+        out = m @ out.reshape(lead + (before, shape[i], after))
+        shape[i] = m.shape[0]
+    return out.reshape(lead + (math.prod(shape), ch))
+
+
+def _lowpass(x: Node, filt: wv.WaveletFilter, levels: int, shape, synthesis: bool) -> Node:
+    """Analysis (grid -> coarse) or synthesis (coarse -> grid) of the lowpass pair."""
+    pairs = [wv.lowpass_pair(filt.name, n, levels) for n in shape]
+    coarse = tuple(a.shape[0] for a, _ in pairs)
+    src, dst = (coarse, shape) if synthesis else (shape, coarse)
+    if x.value.shape[-2] != math.prod(src):
+        raise ShapeError(f"wavelet op: {x.value.shape} does not hold a {src} grid")
+    mats = [s if synthesis else a for a, s in pairs]
+    back = [m.T for m in mats]
+    return Node(_separable(x.value, mats, src), (x,), (lambda g: _separable(g, back, dst),))
+
+
 def dwt1d(x: Node, filt: wv.WaveletFilter, levels: int) -> Node:
-    """Packed multilevel transform along axis -2 of (..., N, C) fields."""
-    xv = np.swapaxes(x.value, -1, -2)
-    out = np.swapaxes(wv.dwt_packed(xv, filt, levels), -1, -2)
+    """Level-L approximation A x along axis -2 of (..., N, C) fields.
 
-    def back(g):
-        return np.swapaxes(wv.idwt_packed(np.swapaxes(g, -1, -2), filt, levels), -1, -2)
-
-    return Node(out, (x,), (back,))
+    Returns (..., ceil(N / 2^L), C); the backward is A^T g. A length that
+    2^L does not divide is symmetric-padded, folded into A.
+    """
+    return _lowpass(x, filt, levels, x.value.shape[-2:-1], False)
 
 
-def idwt1d(c: Node, filt: wv.WaveletFilter, levels: int) -> Node:
-    cv = np.swapaxes(c.value, -1, -2)
-    out = np.swapaxes(wv.idwt_packed(cv, filt, levels), -1, -2)
-
-    def back(g):
-        return np.swapaxes(wv.dwt_packed(np.swapaxes(g, -1, -2), filt, levels), -1, -2)
-
-    return Node(out, (c,), (back,))
-
-
-def _to_spatial2d(v: np.ndarray, hw):
-    h, w = hw
-    batch = v.shape[:-2]
-    return np.moveaxis(v.reshape(batch + (h, w, v.shape[-1])), -1, -3)
-
-
-def _from_spatial2d(v: np.ndarray, hw):
-    h, w = hw
-    out = np.moveaxis(v, -3, -1)
-    return out.reshape(out.shape[:-3] + (h * w, out.shape[-1]))
+def idwt1d(c: Node, filt: wv.WaveletFilter, levels: int, n: int) -> Node:
+    """Synthesis of (..., n_a, C) approximation coefficients onto n samples."""
+    return _lowpass(c, filt, levels, (n,), True)
 
 
 def dwt2d(x: Node, filt: wv.WaveletFilter, levels: int, hw) -> Node:
-    """Packed separable transform of (..., H*W, C) fields on an H-by-W grid."""
-    out = _from_spatial2d(wv.dwt2d_packed(_to_spatial2d(x.value, hw), filt, levels), hw)
+    """Separable level-L approximation of (..., H*W, C) fields on an H-by-W grid.
 
-    def back(g):
-        return _from_spatial2d(
-            wv.idwt2d_packed(_to_spatial2d(g, hw), filt, levels), hw
-        )
-
-    return Node(out, (x,), (back,))
+    Returns (..., ha*wa, C), row-major over the coarse grid.
+    """
+    return _lowpass(x, filt, levels, tuple(hw), False)
 
 
 def idwt2d(c: Node, filt: wv.WaveletFilter, levels: int, hw) -> Node:
-    out = _from_spatial2d(wv.idwt2d_packed(_to_spatial2d(c.value, hw), filt, levels), hw)
-
-    def back(g):
-        return _from_spatial2d(wv.dwt2d_packed(_to_spatial2d(g, hw), filt, levels), hw)
-
-    return Node(out, (c,), (back,))
+    """Separable synthesis of (..., ha*wa, C) coefficients onto the H-by-W grid."""
+    return _lowpass(c, filt, levels, tuple(hw), True)
 
 
-def wavelet_scale(c: Node, r: Node, n_approx: int) -> Node:
-    """Channel-mixing weights on the approximation block of packed 1D coeffs.
+def wavelet_scale(a: Node, r: Node) -> Node:
+    """Change a @ r - a of approximation coefficients a (..., n_a, C).
 
-    c: (..., N, C) packed coefficients; r: a single (C, C) mixing matrix
-    shared across approximation positions. Details pass through. Sharing
-    the matrix over positions keeps the operator consistent when the
+    r is a single (C, C) mixing matrix shared across approximation
+    positions. Sharing it keeps the operator consistent when the
     decomposition depth shifts with the grid resolution: it weights the
     lowpass subspace rather than individual phase-sensitive coefficients.
     """
-    cv, rv = c.value, r.value
-    ch = cv.shape[-1]
+    av, rv = a.value, r.value
+    ch = av.shape[-1]
     if rv.shape != (ch, ch):
         raise ShapeError(f"wavelet_scale: weights {rv.shape}, expected ({ch}, {ch})")
-    out = cv.copy()
-    approx = cv[..., :n_approx, :]
-    out[..., :n_approx, :] = approx @ rv
-
-    def back_c(g):
-        gc = g.copy()
-        gc[..., :n_approx, :] = g[..., :n_approx, :] @ rv.T
-        return gc
 
     def back_r(g):
-        ga = g[..., :n_approx, :].reshape(-1, ch)
-        return approx.reshape(-1, ch).T @ ga
+        return av.reshape(-1, ch).T @ g.reshape(-1, ch)
 
-    return Node(out, (c, r), (back_c, back_r))
-
-
-def wavelet_scale2d(c: Node, r: Node, hw_approx, hw) -> Node:
-    """2D analogue: a shared (C, C) matrix on the coarsest quadrant.
-
-    c: (..., H*W, C); hw_approx is the approximation block shape inside
-    the H-by-W packed layout.
-    """
-    ha, wa = hw_approx
-    cv, rv = c.value, r.value
-    ch = cv.shape[-1]
-    if rv.shape != (ch, ch):
-        raise ShapeError(f"wavelet_scale2d: weights {rv.shape}, expected ({ch}, {ch})")
-    spat = _to_spatial2d(cv, hw)  # (..., C, H, W)
-    approx = np.moveaxis(spat[..., :ha, :wa], -3, -1)  # (..., ha, wa, C)
-    out_sp = spat.copy()
-    out_sp[..., :ha, :wa] = np.moveaxis(approx @ rv, -1, -3)
-    out = _from_spatial2d(out_sp, hw)
-
-    def back_c(g):
-        gs = _to_spatial2d(g, hw)
-        ga = np.moveaxis(gs[..., :ha, :wa], -3, -1)
-        gc = gs.copy()
-        gc[..., :ha, :wa] = np.moveaxis(ga @ rv.T, -1, -3)
-        return _from_spatial2d(gc, hw)
-
-    def back_r(g):
-        gs = _to_spatial2d(g, hw)
-        ga = np.moveaxis(gs[..., :ha, :wa], -3, -1)
-        return approx.reshape(-1, ch).T @ ga.reshape(-1, ch)
-
-    return Node(out, (c, r), (back_c, back_r))
+    return Node(av @ rv - av, (a, r), (lambda g: g @ rv.T - g, back_r))
 
 
 # --- spiking activation -----------------------------------------------------
@@ -346,46 +326,6 @@ def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
 
     gate_node = Node(gate, (x, threshold), (gate_dx, gate_dth))
     return out_node, gate_node
-
-
-# --- boundary padding for non-dyadic grids ----------------------------------
-
-
-def sympad1d(x: Node, pad: int) -> Node:
-    """Trailing symmetric padding along axis -2 of (..., N, C); exact adjoint."""
-    if pad < 0:
-        raise GraphError(f"negative padding {pad}")
-    if pad == 0:
-        return x
-    n = x.value.shape[-2]
-    if pad > n:
-        raise GraphError(f"padding {pad} exceeds length {n}")
-    width = [(0, 0)] * x.value.ndim
-    width[-2] = (0, pad)
-    out = np.pad(x.value, width, mode="symmetric")
-
-    def back(g):
-        gx = g[..., :n, :].copy()
-        flipped = g[..., n:, :][..., ::-1, :]
-        gx[..., n - pad :, :] += flipped
-        return gx
-
-    return Node(out, (x,), (back,))
-
-
-def crop1d(x: Node, n: int) -> Node:
-    """Keep the first n rows of axis -2; adjoint zero-extends."""
-    total = x.value.shape[-2]
-    if not 0 < n <= total:
-        raise GraphError(f"crop to {n} from {total}")
-    out = x.value[..., :n, :].copy()
-
-    def back(g):
-        gx = np.zeros(g.shape[:-2] + (total, g.shape[-1]), dtype=np.float64)
-        gx[..., :n, :] = g
-        return gx
-
-    return Node(out, (x,), (back,))
 
 
 # --- traversal ---------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Wavelet-kernel neural operator with spiking or continuous activations.
 
 The model is uplift -> L iterative layers -> projection. Each iterative
-layer transforms the channel field into the wavelet domain, applies
-learnable channel-mixing weights to the coarsest approximation block
-(details pass through), inverts the transform, adds a pointwise 1x1
-convolution and a channel bias, and applies the activation. Normalized
+layer mixes channels on the coarsest wavelet approximation with a learned
+(C, C) matrix R while every detail band passes through, adds a pointwise
+1x1 convolution and a channel bias, and applies the activation. Normalized
 grid coordinates are appended to the input function as extra channels.
+
+With the orthonormal transform W = [A; D], where A is the level-L
+approximation analysis, the wavelet part of a layer is
+W^T [(A v) R; D v] = v + A^T ((A v)(R - I)), since A^T A + D^T D = I.
+The layer computes the right-hand side, so no detail coefficient is ever
+formed. A grid that 2^L does not divide is symmetric-padded at its end
+and cropped after the inverse; both are folded into the cached
+(analysis, synthesis) pair of `wavelet.lowpass_pair`, per axis in 2D.
 
 The variable-spiking activation runs for a single time step: the membrane
 starts at zero, so it equals the layer's pre-activation, and a site fires
@@ -66,15 +73,6 @@ class WnoConfig:
             raise ValueError("surrogate slope must be positive")
         if self.in_channels == 0:
             object.__setattr__(self, "in_channels", 1 + self.grid.dims)
-
-    @property
-    def padded_resolution(self) -> tuple[int, ...]:
-        block = 1 << self.levels
-        return tuple(r + ((-r) % block) for r in self.grid.resolution)
-
-    @property
-    def approx_shape(self) -> tuple[int, ...]:
-        return tuple(r >> self.levels for r in self.padded_resolution)
 
 
 @dataclass
@@ -179,7 +177,7 @@ class WnoModel:
 
     # -- forward ----------------------------------------------------------
 
-    def forward_nodes(self, inputs: np.ndarray, smooth: bool = False):
+    def forward_nodes(self, inputs: np.ndarray):
         """Differentiable forward of a batch.
 
         inputs: (B, N) for 1D or (B, H, W) for 2D, in physical units.
@@ -203,28 +201,10 @@ class WnoModel:
             axis=2,
         )
         filt = wv.get_filter(cfg.wavelet)
-        block = 1 << levels
-        pad = tuple((-s) % block for s in spatial)
         v = ad.affine(ad.constant(feats), self.params["uplift.w"], self.params["uplift.b"])
         gates = []
         for i in range(cfg.layers):
-            if cfg.grid.dims == 1:
-                n = spatial[0]
-                vk = ad.sympad1d(v, pad[0]) if pad[0] else v
-                c = ad.dwt1d(vk, filt, levels)
-                c = ad.wavelet_scale(c, self.params[f"layer{i}.r"], cfg.approx_shape[0])
-                k = ad.idwt1d(c, filt, levels)
-                if pad[0]:
-                    k = ad.crop1d(k, n)
-            else:
-                hw = spatial
-                if any(pad):
-                    raise GridError(
-                        f"2D grid {hw} not divisible by 2^{levels}; use dyadic grids"
-                    )
-                c = ad.dwt2d(v, filt, levels, hw)
-                c = ad.wavelet_scale2d(c, self.params[f"layer{i}.r"], cfg.approx_shape, hw)
-                k = ad.idwt2d(c, filt, levels, hw)
+            k = _wavelet_kernel(v, self.params[f"layer{i}.r"], filt, levels, spatial)
             w = ad.conv1x1(v, self.params[f"layer{i}.k"])
             z = ad.bias_add(ad.add(k, w), self.params[f"layer{i}.b"])
             if cfg.activation == "gelu":
@@ -232,12 +212,7 @@ class WnoModel:
             elif cfg.activation == "identity":
                 v = z
             else:
-                v, gate = ad.vsn(
-                    z,
-                    self.params[f"layer{i}.th"],
-                    slope=cfg.surrogate_slope,
-                    smooth=smooth,
-                )
+                v, gate = ad.vsn(z, self.params[f"layer{i}.th"], slope=cfg.surrogate_slope)
                 gates.append(gate)
         h = ad.affine(v, self.params["proj1.w"], self.params["proj1.b"])
         if cfg.activation != "identity":
@@ -257,6 +232,15 @@ class WnoModel:
         if self.norm is None:
             return np.asarray(targets, dtype=np.float64)
         return (targets - self.norm.out_mean) / self.norm.out_std
+
+
+def _wavelet_kernel(v: ad.Node, r: ad.Node, filt: wv.WaveletFilter, levels: int, spatial):
+    """Wavelet part of a layer on (B, prod(spatial), C): v + A^T ((A v)(r - I))."""
+    if len(spatial) == 1:
+        a = ad.wavelet_scale(ad.dwt1d(v, filt, levels), r)
+        return ad.add(v, ad.idwt1d(a, filt, levels, spatial[0]))
+    a = ad.wavelet_scale(ad.dwt2d(v, filt, levels, spatial), r)
+    return ad.add(v, ad.idwt2d(a, filt, levels, spatial))
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +289,10 @@ def loss_pinball(pred: np.ndarray, truth: np.ndarray, eta: float) -> float:
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    gap = float(np.linalg.norm(truth - pred))
-    w = eta if np.linalg.norm(truth) >= np.linalg.norm(pred) else 1.0 - eta
-    return w * gap
+    # Python-float norms: on short vectors numpy's per-call overhead dominates
+    p, t = pred.ravel().tolist(), truth.ravel().tolist()
+    w = eta if math.hypot(*t) >= math.hypot(*p) else 1.0 - eta
+    return w * math.dist(t, p)
 
 
 def _loss_node(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig) -> ad.Node:

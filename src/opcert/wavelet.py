@@ -2,11 +2,24 @@
 
 All transforms use periodic (circular) boundary handling, which keeps the
 coefficient count equal to the sample count and makes the multilevel
-transform an exactly orthogonal map for any even length. A multilevel
-transform needs a length divisible by 2^levels; callers pad beforehand.
+transform an exactly orthogonal map for any even length.
 
-The adjoint of the packed forward transform equals the packed inverse
-(orthogonality), which is the gradient rule relied on elsewhere.
+The operator layers only need the coarsest approximation. Let A be the
+(m / 2^L, m) level-L approximation analysis operator: row k is the level-L
+equivalent lowpass filter h * (h up 2) * ... * (h up 2^(L-1)) anchored at
+sample 2^L k (mod m). Its rows are orthonormal (A A^T = I), and A^T A is
+the multiresolution projection onto V_L (Mallat 1989). Scaling the
+approximation by a matrix R while every detail band passes through is
+therefore v + A^T ((A v)(R - I)), with no detail coefficient ever formed.
+`lowpass_pair` builds A from the filter taps, once per (family, n, levels).
+A length n that 2^L does not divide is symmetric-padded at its end to the
+next multiple m; the pair folds that padding in: analysis A P, synthesis
+the first n rows of A^T.
+
+The packed multilevel transforms below (`dwt_packed`, `dwt2d_packed` and
+their inverses) compute every band by the full cascade. They are the
+reference the lowpass pair is tested against; a multilevel transform
+needs a length divisible by 2^levels.
 """
 
 from __future__ import annotations
@@ -151,6 +164,42 @@ def _synthesis_step_2d(a, dets, filt: WaveletFilter) -> np.ndarray:
     lo = np.swapaxes(_synthesis_step(np.swapaxes(a, -1, -2), np.swapaxes(dx, -1, -2), filt), -1, -2)
     hi = np.swapaxes(_synthesis_step(np.swapaxes(dy, -1, -2), np.swapaxes(dxy, -1, -2), filt), -1, -2)
     return _synthesis_step(lo, hi, filt)
+
+
+@lru_cache(maxsize=None)
+def lowpass_pair(name: str, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-`levels` approximation analysis and synthesis on n samples.
+
+    Returns read-only (analysis, synthesis) of shapes (n_a, n) and (n, n_a),
+    n_a = ceil(n / 2^levels). The signal is symmetric-padded at its end to
+    m = n_a 2^levels samples; analysis is A P and synthesis the first n
+    rows of A^T. Without padding, synthesis is analysis^T and
+    analysis @ synthesis = I.
+    """
+    if levels < 1:
+        raise DecompositionError(f"levels must be >= 1, got {levels}")
+    block = 1 << levels
+    pad = (-n) % block
+    if pad > n:
+        raise DecompositionError(f"length {n} too short to pad to a multiple of 2^{levels}")
+    m = n + pad
+    lo = get_filter(name).dec_lo
+    taps = lo
+    for j in range(1, levels):
+        up = np.zeros((lo.size - 1) * (1 << j) + 1)
+        up[:: 1 << j] = lo
+        taps = np.convolve(taps, up)
+    rows = np.arange(m // block)[:, None]
+    cols = (block * rows + np.arange(taps.size)) % m
+    a = np.zeros((m // block, m))
+    np.add.at(a, (np.broadcast_to(rows, cols.shape), cols), taps)
+    analysis = a[:, :n].copy()
+    # padded sample n + i mirrors sample n - 1 - i
+    analysis[:, n - pad :][:, ::-1] += a[:, n:]
+    synthesis = a[:, :n].T.copy()
+    analysis.setflags(write=False)
+    synthesis.setflags(write=False)
+    return analysis, synthesis
 
 
 # ---------------------------------------------------------------------------

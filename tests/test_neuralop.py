@@ -3,6 +3,7 @@ import pytest
 
 from opcert import autodiff as ad
 from opcert import neuralop as no
+from opcert import wavelet as wv
 from opcert.core import GridError, GridSpec, SeededRng
 
 
@@ -84,6 +85,61 @@ class TestForward:
         fine = model.predict(fine_in)[0]
         drift = float(np.sqrt(np.mean((fine[::2] - coarse) ** 2)))
         assert drift < 10 * max(train_err, 1e-6)
+
+
+def cascade_layer(v, r, filt, levels, spatial):
+    """Wavelet part of a layer by the full packed cascade (oracle).
+
+    Symmetric-pad each axis of v (B, prod(spatial), C) to a multiple of
+    2^levels, transform, mix the approximation block with r, invert, crop.
+    """
+    b, _, ch = v.shape
+    x = np.moveaxis(v.reshape((b,) + spatial + (ch,)), -1, 1)
+    block = 1 << levels
+    x = np.pad(x, [(0, 0), (0, 0)] + [(0, (-s) % block) for s in spatial], mode="symmetric")
+    approx = (...,) + tuple(slice(0, s >> levels) for s in x.shape[2:])
+    if len(spatial) == 1:
+        c = wv.dwt_packed(x, filt, levels)
+        c[approx] = np.einsum("bck,cd->bdk", c[approx], r)
+        y = wv.idwt_packed(c, filt, levels)
+    else:
+        c = wv.dwt2d_packed(x, filt, levels)
+        c[approx] = np.einsum("bchw,cd->bdhw", c[approx], r)
+        y = wv.idwt2d_packed(c, filt, levels)
+    y = y[(...,) + tuple(slice(0, s) for s in spatial)]
+    return np.moveaxis(y, 1, -1).reshape(v.shape)
+
+
+class TestWaveletKernel:
+    """The projection form of the layer against the full cascade."""
+
+    @pytest.mark.parametrize(
+        "spatial,levels",
+        [
+            ((64,), 3), ((128,), 3), ((1024,), 3),  # dyadic
+            ((85,), 3), ((100,), 3),  # padded
+            ((128,), 4), ((170,), 4),  # levels + 1 on the 2n grid
+            ((32, 32), 3), ((64, 64), 3), ((64, 64), 4),
+            ((34, 34), 2), ((34, 20), 2), ((68, 68), 3),  # padded 2D
+        ],
+        ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else f"L{p}",
+    )
+    def test_matches_packed_cascade(self, spatial, levels):
+        gen = SeededRng(40).generator()
+        filt = wv.get_filter("db6")
+        v = gen.standard_normal((2, int(np.prod(spatial)), 4))
+        r = gen.standard_normal((4, 4))
+        got = no._wavelet_kernel(ad.constant(v), ad.constant(r), filt, levels, spatial)
+        want = cascade_layer(v, r, filt, levels, spatial)
+        assert np.max(np.abs(got.value - want)) < 1e-12
+
+    def test_non_dyadic_2d_grid_trains_and_transfers(self):
+        cfg = no.WnoConfig(grid=GridSpec((34, 34)), width=4, layers=1, levels=2)
+        model = no.WnoModel.initialize(cfg, SeededRng(41))
+        x = SeededRng(42).generator().standard_normal((2, 34, 34))
+        no.train(model, x, x, no.LossConfig("l2"), 1, 2, SeededRng(43))
+        assert model.predict(x).shape == (2, 34, 34)
+        assert model.predict(np.zeros((1, 68, 68))).shape == (1, 68, 68)
 
 
 class TestVsnForward:

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from opcert import autodiff as ad
-from opcert import neuralop as no
 from opcert import wavelet as wv
-from opcert.core import GridSpec
 
 
 def analysis_matrix(filt, n):
@@ -127,14 +124,37 @@ class TestDwt1d:
 
     def test_padding_records_and_roundtrips(self):
         # a non-dyadic 1D grid is symmetric-padded to the next multiple of
-        # 2^levels before the transform and cropped after the inverse
-        cfg = no.WnoConfig(grid=GridSpec((85,)), levels=2, wavelet="db4")
-        assert cfg.padded_resolution == (88,)
+        # 2^levels; the lowpass pair folds that padding and the crop in
         f = wv.get_filter("db4")
-        x = ad.constant(np.random.default_rng(6).standard_normal((1, 85, 2)))
-        coeffs = ad.dwt1d(ad.sympad1d(x, 3), f, 2)
-        back = ad.crop1d(ad.idwt1d(coeffs, f, 2), 85)
-        assert np.max(np.abs(back.value - x.value)) < 1e-9
+        analysis, synthesis = wv.lowpass_pair("db4", 85, 2)
+        assert analysis.shape == (22, 85) and synthesis.shape == (85, 22)
+        x = np.random.default_rng(6).standard_normal((2, 85))
+        padded = np.pad(x, [(0, 0), (0, 3)], mode="symmetric")
+        packed = wv.dwt_packed(padded, f, 2)
+        assert np.max(np.abs(x @ analysis.T - packed[:, :22])) < 1e-12
+        # the full cascade round trips through the padding ...
+        assert np.max(np.abs(wv.idwt_packed(packed, f, 2)[:, :85] - x)) < 1e-12
+        # ... and its approximation part is the folded synthesis
+        packed[:, 22:] = 0.0
+        lowpass = wv.idwt_packed(packed, f, 2)[:, :85]
+        assert np.max(np.abs(lowpass - (x @ analysis.T) @ synthesis.T)) < 1e-12
+
+    def test_lowpass_pair_from_taps(self):
+        # rows of the unpadded analysis are orthonormal, A^T A is a projection,
+        # and the pair is built once per (family, n, levels)
+        analysis, synthesis = wv.lowpass_pair("db6", 256, 4)
+        assert np.array_equal(synthesis, analysis.T)
+        assert np.max(np.abs(analysis @ analysis.T - np.eye(16))) < 1e-12
+        proj = synthesis @ analysis
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-12
+        assert wv.lowpass_pair("db6", 256, 4)[0] is analysis
+        assert not analysis.flags.writeable
+
+    def test_lowpass_pair_rejects_bad_depth(self):
+        with pytest.raises(wv.DecompositionError):
+            wv.lowpass_pair("db4", 64, 0)
+        with pytest.raises(wv.DecompositionError):
+            wv.lowpass_pair("db4", 3, 3)  # 5 samples of padding on 3
 
 
 class TestDwt2d:

@@ -241,7 +241,7 @@ def calibrate_cq(
 
 
 def save_qfield(qfield: QField, path):
-    with open(path, "wb") as fh:
+    with sio.replacing(path) as fh:
         sio.start_file(fh, sio.QFIELD_MAGIC)
         sio.write_grid(fh, qfield.grid)
         sio.write_f64(fh, qfield.alpha, qfield.z)

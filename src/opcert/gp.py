@@ -230,26 +230,27 @@ def superres_q(
     Locations with infinite q are excluded from the fit (they carry no
     finite information); if none are finite the transport is impossible.
     Negative predictive means are clamped to zero so band widths stay
-    non-negative. Very large source grids are strided down for the fit.
+    non-negative. Very large source grids are fit on a tensor sub-grid that
+    keeps every stride-th point along each axis.
     """
-    mask = qfield.finite_mask.ravel()
-    if not np.any(mask):
+    finite = qfield.finite_mask
+    if not np.any(finite):
         raise GpFitError("all conformal parameters are infinite; nothing to fit")
-    dropped = int(mask.size - np.count_nonzero(mask))
+    dropped = int(finite.size - np.count_nonzero(finite))
     if dropped:
         warnings.warn(
             f"excluding {dropped} infinite conformal parameters from the fit",
             RuntimeWarning,
             stacklevel=2,
         )
-    coords = normalized_coordinates(qfield.grid)[mask]
-    values = qfield.values.ravel()[mask]
-    stride = 1
-    while coords.shape[0] // stride > _MAX_FIT_POINTS:
+    stride, sub = 1, (slice(None),) * finite.ndim
+    while np.count_nonzero(finite[sub]) > _MAX_FIT_POINTS:
         stride += 1
-    if stride > 1:
-        coords = coords[::stride]
-        values = values[::stride]
+        sub = (slice(None, None, stride),) * finite.ndim
+    mask = finite[sub].ravel()
+    coords = normalized_coordinates(qfield.grid).reshape(*finite.shape, -1)[sub]
+    coords = coords.reshape(mask.size, -1)[mask]
+    values = qfield.values[sub].ravel()[mask]
     model = gp_fit(
         coords, values, theta0=theta0, eps_tol=eps_tol, max_iters=max_iters, rng=rng
     )

@@ -335,7 +335,7 @@ _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_IDS.items()}
 def save_model(model: WnoModel, path):
     """Write a bit-exact model checkpoint."""
     cfg = model.config
-    with open(path, "wb") as fh:
+    with sio.replacing(path) as fh:
         sio.start_file(fh, sio.CHECKPOINT_MAGIC)
         sio.write_u32(
             fh,

@@ -2,10 +2,14 @@
 
 All payloads are little-endian float64 in C order so containers round-trip
 bit-exactly. Each file starts with an 8-byte magic and a u32 version.
+Writers go through `replacing`, so a failed write leaves any previous file
+in place and no partial one behind.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +26,23 @@ VERSION = 1
 
 class FormatError(ValueError):
     """File does not match the expected container layout."""
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Binary handle on a sibling temp file that replaces `path` on success.
+
+    If the block raises, the temp file is removed and `path` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_u32(fh, *values):
@@ -115,7 +136,8 @@ def start_file(fh, magic: bytes):
 
 def write_manifest(path, entries: dict):
     lines = [f"{k} = {entries[k]}" for k in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,142 @@ class TestBurgersSolver:
         with pytest.raises(ValueError):
             dg.solve_burgers(np.zeros(100), dg.BurgersConfig(solver_resolution=128,
                                                              output_resolution=64))
+
+
+def four_call_solve_burgers(u0, config):
+    """The solver before the two-call step, kept verbatim as an oracle."""
+    u0 = np.asarray(u0, dtype=np.float64)
+    n = config.solver_resolution
+    nu, dt = config.viscosity, config.dt
+    steps = int(round(config.t_final / dt))
+    k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers
+    ik = 2j * np.pi * k
+    ksq = (2.0 * np.pi * k) ** 2
+    dealias = k <= n / 3.0
+    cn_num = 1.0 - 0.5 * dt * nu * ksq
+    cn_den = 1.0 + 0.5 * dt * nu * ksq
+    u_hat = np.fft.rfft(u0)
+    u_limit = np.sqrt(2.0 * nu / dt)
+
+    def advection_hat(uh):
+        if not config.advection:
+            return np.zeros_like(uh)
+        u = np.fft.irfft(uh, n=n)
+        ux = np.fft.irfft(ik * uh, n=n)
+        return np.fft.rfft(u * ux) * dealias
+
+    prev = advection_hat(u_hat)
+    for step in range(steps):
+        umax = float(np.max(np.abs(np.fft.irfft(u_hat, n=n))))
+        if not np.isfinite(umax) or umax > 1e6:
+            raise dg.SolverError(f"blow-up at step {step} (|u| = {umax:.3g})")
+        if config.advection and umax > u_limit:
+            warnings.warn(
+                f"step {step}: |u|={umax:.3g} exceeds the stability bound "
+                f"{u_limit:.3g} for dt={dt}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        cur = advection_hat(u_hat)
+        # AB2 after the first step; plain Euler to start
+        adv = cur if step == 0 else 1.5 * cur - 0.5 * prev
+        u_hat = (cn_num * u_hat - dt * adv) / cn_den
+        prev = cur
+    u_final = np.fft.irfft(u_hat, n=n)
+    if not np.all(np.isfinite(u_final)):
+        raise dg.SolverError(f"non-finite solution after {steps} steps")
+    return u_final[:: n // config.output_resolution]
+
+
+def uncached_grf_evaluate(spec, coeff, points):
+    """The 1D field synthesis before the basis cache, as an oracle."""
+    x = np.asarray(points, dtype=np.float64)
+    kk = np.arange(1, spec.mode_count)
+    lam0 = float(spec.eigenvalue([[0.0]])[0])
+    lam = spec.eigenvalue(kk[:, None])
+    out = np.sqrt(lam0) * coeff[0] * np.ones_like(x)
+    phase = 2.0 * np.pi * np.outer(kk, x)
+    amps = np.sqrt(2.0 * lam)
+    cos_c = coeff[1 : spec.mode_count]
+    sin_c = coeff[spec.mode_count :]
+    out += (amps * cos_c) @ np.cos(phase) + (amps * sin_c) @ np.sin(phase)
+    return out
+
+
+def run_recording(solve, u0, config):
+    """(output or SolverError message, stability warning count)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve(u0, config)
+        except dg.SolverError as exc:
+            result = str(exc)
+    unstable = [w for w in caught if "exceeds the stability bound" in str(w.message)]
+    return result, len(unstable)
+
+
+def calibration_draw(i, n, seed=0):
+    """Initial condition of calibration sample i, as make_dataset draws it."""
+    rng = SeededRng(seed).substream(dg.SPLIT_STREAM_BASE["calibration"] + i)
+    coeff = dg.grf_coefficients(dg.BURGERS_GRF, rng)
+    return dg.grf_evaluate(dg.BURGERS_GRF, coeff, np.arange(n) / n)
+
+
+class TestTwoCallStep:
+    """The two-transform step reproduces the four-call step bit for bit."""
+
+    @pytest.mark.parametrize("n, out", [(64, 16), (512, 128), (1024, 1024)])
+    def test_grf_draws_match_oracle(self, n, out):
+        cfg = dg.BurgersConfig(solver_resolution=n, output_resolution=out)
+        for i in range(3):
+            u0 = calibration_draw(i, n)
+            assert np.array_equal(dg.solve_burgers(u0, cfg), four_call_solve_burgers(u0, cfg))
+
+    def test_pure_diffusion_matches_oracle(self):
+        cfg = dg.BurgersConfig(solver_resolution=512, output_resolution=128, advection=False)
+        u0 = calibration_draw(6, 512)  # the draw that blows up with advection
+        assert np.array_equal(dg.solve_burgers(u0, cfg), four_call_solve_burgers(u0, cfg))
+
+    def test_same_stability_warnings(self):
+        cfg = dg.BurgersConfig(solver_resolution=64, output_resolution=16)
+        u0 = 8.0 * np.sin(2 * np.pi * np.arange(64) / 64)  # |u| starts above the bound
+        out, count = run_recording(dg.solve_burgers, u0, cfg)
+        ref, ref_count = run_recording(four_call_solve_burgers, u0, cfg)
+        assert np.array_equal(out, ref)
+        assert count == ref_count > 0
+
+    def test_default_config_blowup_is_unchanged(self):
+        # seed 0, calibration[6] on the default 512 -> 128 problem
+        cfg = dg.BurgersConfig()
+        u0 = calibration_draw(6, cfg.solver_resolution)
+        got = run_recording(dg.solve_burgers, u0, cfg)
+        assert got == run_recording(four_call_solve_burgers, u0, cfg)
+        assert got[0].startswith("blow-up at step 149 ")
+        assert got[1] > 0
+
+
+class TestGrfBasisCache:
+    @pytest.mark.parametrize("points", [np.arange(512) / 512, np.array([0.125, 0.5])])
+    def test_matches_uncached_oracle(self, points):
+        for i in range(3):
+            coeff = dg.grf_coefficients(dg.BURGERS_GRF, SeededRng(20, i))
+            assert np.array_equal(dg.grf_evaluate(dg.BURGERS_GRF, coeff, points),
+                                  uncached_grf_evaluate(dg.BURGERS_GRF, coeff, points))
+
+    def test_cached_arrays_are_read_only(self):
+        x = np.arange(64) / 64
+        dg.grf_evaluate(dg.BURGERS_GRF, np.ones(63), x)
+        for arr in dg._grf_basis_1d(dg.BURGERS_GRF, x.tobytes())[1:]:
+            assert not arr.flags.writeable
+
+    def test_returned_field_is_fresh(self):
+        x = np.arange(64) / 64
+        coeff = dg.grf_coefficients(dg.BURGERS_GRF, SeededRng(21))
+        first = dg.grf_evaluate(dg.BURGERS_GRF, coeff, x)
+        assert first.flags.writeable
+        first[:] = 0.0
+        again = dg.grf_evaluate(dg.BURGERS_GRF, coeff, x)
+        assert np.array_equal(again, uncached_grf_evaluate(dg.BURGERS_GRF, coeff, x))
 
 
 class TestDarcySolver:

@@ -183,3 +183,30 @@ class TestSuperresTransport:
         assert model.stride > 1
         assert model.x_train.shape[0] <= 300
         assert out.values.shape == (96, 96)
+
+    def test_strided_fit_points_form_a_tensor_sub_grid(self, monkeypatch):
+        # 85 x 85 is the Darcy protocol grid; a flat stride over its
+        # row-major points would give a checkerboard, not a sub-grid
+        monkeypatch.setattr(gpm, "_MAX_FIT_POINTS", 300)
+        grid = GridSpec((85, 85))
+        xs = np.linspace(0, 1, 85)
+        q = 1.0 + 0.1 * np.add.outer(np.sin(2 * np.pi * xs), xs)
+        _, model = gpm.superres_q(QField(q, grid, 0.05), GridSpec((17, 17)), max_iters=1,
+                                  rng=SeededRng(17))
+        n_x, n_y = (np.unique(model.x_train[:, d]).size for d in range(2))
+        assert model.stride > 1
+        assert n_x * n_y == model.x_train.shape[0] <= 300
+        sub = xs[:: model.stride]
+        assert np.array_equal(np.unique(model.x_train[:, 0]), sub)
+        assert np.array_equal(np.unique(model.x_train[:, 1]), sub)
+
+    def test_strided_fit_drops_infinite_sub_grid_points(self, monkeypatch):
+        monkeypatch.setattr(gpm, "_MAX_FIT_POINTS", 300)
+        q = np.ones((85, 85))
+        q[0, 5] = q[1, 1] = np.inf  # on and off the stride-5 sub-grid
+        with pytest.warns(RuntimeWarning, match="excluding 2"):
+            _, model = gpm.superres_q(QField(q, GridSpec((85, 85)), 0.05), GridSpec((17, 17)),
+                                      max_iters=1, rng=SeededRng(18))
+        assert model.stride == 5
+        assert model.x_train.shape[0] == 17 * 17 - 1
+        assert not np.any(np.all(model.x_train == [0.0, 5 / 84], axis=1))

@@ -179,14 +179,23 @@ def calibrate(
     return QField(_jittered_quantile(scores, alpha, rng, jitter), grid, alpha)
 
 
+def _check_stack(context: str, qfield: QField, *fields):
+    """Fields are one grid field or a (B, *grid) stack of them, all alike."""
+    shape = np.shape(fields[0])
+    grid = qfield.values.shape
+    if shape[len(shape) - len(grid):] != grid or any(np.shape(f) != shape for f in fields):
+        raise ShapeError(f"{context} shapes differ: {[np.shape(f) for f in fields]}, {grid}")
+
+
 def band(mean: np.ndarray, spread: np.ndarray, qfield: QField, z: float = 1.0) -> Band:
-    """Calibrated band [mean - z*q*spread, mean + z*q*spread]."""
+    """Calibrated band [mean - z*q*spread, mean + z*q*spread].
+
+    mean and spread are one grid field or a (B, *grid) stack; q is shared
+    by every sample of the stack.
+    """
     mean = np.asarray(mean, dtype=np.float64)
     spread = np.asarray(spread, dtype=np.float64)
-    if mean.shape != qfield.values.shape or spread.shape != qfield.values.shape:
-        raise ShapeError(
-            f"band shapes differ: {mean.shape}, {spread.shape}, {qfield.values.shape}"
-        )
+    _check_stack("band", qfield, mean, spread)
     with np.errstate(invalid="ignore"):
         half = z * qfield.values * spread
         # inf * 0 spread: a degenerate location with infinite q covers everything
@@ -194,13 +203,18 @@ def band(mean: np.ndarray, spread: np.ndarray, qfield: QField, z: float = 1.0) -
     return Band(mean - half, mean + half)
 
 
-def coverage_eval(bands, truths: np.ndarray, target_percent: float = 95.0) -> CoverageReport:
-    """Percent of test samples whose truth falls in its closed band, per location."""
+def coverage_eval(band: Band, truths: np.ndarray, target_percent: float = 95.0) -> CoverageReport:
+    """Percent of test samples whose truth falls in its closed band, per location.
+
+    band holds one (B, *grid) stack of bounds, one per row of truths.
+    """
     truths = np.asarray(truths, dtype=np.float64)
-    if len(bands) == 0 or len(bands) != len(truths):
-        raise ValueError("need one band per test sample, at least one sample")
-    inside = np.stack([b.contains(t) for b, t in zip(bands, truths)])
-    per_location = 100.0 * inside.mean(axis=0)
+    if truths.ndim == 0 or len(truths) == 0 or band.lower.shape != truths.shape:
+        raise ValueError(
+            "need one band per test sample, at least one sample: "
+            f"bands {band.lower.shape}, truths {truths.shape}"
+        )
+    per_location = 100.0 * band.contains(truths).mean(axis=0)
     return CoverageReport(per_location, target_percent)
 
 
@@ -213,11 +227,10 @@ def cq_score(truth: np.ndarray, lo_pred: np.ndarray, hi_pred: np.ndarray) -> np.
 
 
 def cq_band(lo_pred: np.ndarray, hi_pred: np.ndarray, qfield: QField) -> Band:
-    """Widen the quantile interval by q on each side."""
+    """Widen the quantile interval by q on each side (one field or a stack)."""
     lo_pred = np.asarray(lo_pred, dtype=np.float64)
     hi_pred = np.asarray(hi_pred, dtype=np.float64)
-    if lo_pred.shape != qfield.values.shape or hi_pred.shape != qfield.values.shape:
-        raise ShapeError("cq_band shapes differ")
+    _check_stack("cq_band", qfield, lo_pred, hi_pred)
     return Band(lo_pred - qfield.values, hi_pred + qfield.values)
 
 

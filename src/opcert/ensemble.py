@@ -133,7 +133,7 @@ def rp_predict(ensemble: RpEnsemble, inputs: np.ndarray):
 
 
 def initial_band(mean: np.ndarray, spread: np.ndarray, z: float = 1.96) -> Band:
-    """Heuristic band [mean - z*spread, mean + z*spread]."""
+    """Heuristic band [mean - z*spread, mean + z*spread] (one field or a stack)."""
     spread = np.asarray(spread, dtype=np.float64)
     if np.any(spread < 0):
         raise ValueError("spread must be non-negative")

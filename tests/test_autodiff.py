@@ -1,10 +1,14 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from opcert import autodiff as ad
+from opcert import ensemble as ens
+from opcert import neuralop as no
 from opcert import wavelet as wv
-from opcert.core import ShapeError
+from opcert.core import GridSpec, SeededRng, ShapeError
 
 
 def fd_gradient(closure, param, eps=1e-5):
@@ -237,3 +241,124 @@ class TestGradCheck:
         x = ad.Parameter(np.ones(2), "x")
         with pytest.raises(ValueError):
             ad.grad_check(lambda: ad.sum_all(x), [x], eps=1e-2)
+
+
+# --- in-place chunked kernels against the one-shot formulas -----------------
+
+_SQRT2 = np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def one_shot_gelu(x):
+    """Reference gelu value and derivative as one-shot expressions."""
+    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}workers")
+def workers(request, monkeypatch):
+    """Force the kernel pool to a worker count; 3 splits 2^16 unevenly."""
+    w = request.param
+    pool = ThreadPoolExecutor(w) if w > 1 else None
+    monkeypatch.setattr(ad, "_pool", (w, pool))
+    yield w
+    if pool is not None:
+        pool.shutdown()
+
+
+def kernel_inputs(name):
+    """x and g arrays below, at and above the split, 0-d, size 1, or strided."""
+    gen = np.random.default_rng(21)
+    n = ad._PARALLEL_MIN
+    if name == "0d":
+        return np.array(1.3), np.array(-0.7)
+    if name == "transposed":
+        x = gen.standard_normal((n // 256 + 1, 257)).T * 3.0
+        return x, gen.standard_normal((x.shape[1], x.shape[0])).T
+    if name == "strided":
+        return gen.standard_normal(2 * n + 7)[::2] * 3.0, gen.standard_normal(3 * n + 12)[::3]
+    size = {"one": 1, "below": n - 1, "at": n, "above": 3 * n + 1}[name]
+    shape = (n // 4, 4) if name == "at" else (size,)
+    return gen.standard_normal(shape) * 3.0, gen.standard_normal(shape)
+
+
+KERNEL_CASES = ["0d", "one", "below", "at", "above", "transposed", "strided"]
+
+
+class TestChunkedKernels:
+    """Bitwise equality with the one-shot formulas for any worker count."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_gelu_value_and_backward(self, case, workers):
+        x, g = kernel_inputs(case)
+        value, slope = one_shot_gelu(x)
+        node = ad.gelu(ad.constant(x))
+        assert np.array_equal(node.value, value)
+        assert np.array_equal(node.grad_fns[0](g), g * slope)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_gelu_value_grad(self, case, workers):
+        x, _ = kernel_inputs(case)
+        value, slope = one_shot_gelu(x)
+        got_value, got_slope = ad.gelu_value_grad(x)
+        assert got_value.shape == got_slope.shape == np.shape(x)
+        assert np.array_equal(got_value, value)
+        assert np.array_equal(got_slope, slope)
+
+    @pytest.mark.parametrize("rows", [1, ad._PARALLEL_MIN // 16 - 1, ad._PARALLEL_MIN // 16,
+                                      ad._PARALLEL_MIN // 8 + 3])
+    def test_affine(self, rows, workers):
+        gen = np.random.default_rng(22)
+        x = gen.standard_normal((rows, 16))
+        w, b = gen.standard_normal((16, 16)), gen.standard_normal(16)
+        for xv in (x, np.asfortranarray(x)):
+            out = ad.affine(ad.constant(xv), ad.constant(w), ad.constant(b)).value
+            assert np.array_equal(out, xv @ w + b)
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_vsn_gradients_match_eager_derivatives(self, smooth, workers):
+        gen = np.random.default_rng(23)
+        xv = gen.standard_normal((4, ad._PARALLEL_MIN // 8 + 1, 3)) * 2.0
+        th = gen.uniform(-0.5, 1.0, 3)
+        g = gen.standard_normal(xv.shape)
+        slope = 10.0
+        sig = expit(slope * (xv - th))
+        surr = slope * sig * (1.0 - sig)
+        gate = sig if smooth else (xv >= th).astype(np.float64)
+        act, dact = one_shot_gelu(gate * xv)
+        out, gate_node = ad.vsn(ad.constant(xv), ad.constant(th), slope, smooth)
+        assert np.array_equal(out.value, act)
+        assert np.array_equal(gate_node.value, gate)
+        dx, dth = (fn(g) for fn in out.grad_fns)
+        assert np.array_equal(dx, g * dact * (gate + xv * surr))
+        assert np.array_equal(dth, (g * dact * xv * (-surr)).sum(axis=(0, 1)))
+        dx, dth = (fn(g) for fn in gate_node.grad_fns)
+        assert np.array_equal(dx, g * surr)
+        assert np.array_equal(dth, (g * (-surr)).sum(axis=(0, 1)))
+
+
+def test_training_does_not_depend_on_worker_count(monkeypatch, tmp_path):
+    """1-epoch ensemble training and prediction on 1024 points, bytes compared.
+
+    The default pool is compared with one worker and with three, a count
+    that splits the (4, 1024, 32) projection into unequal chunks.
+    """
+    gen = np.random.default_rng(24)
+    inputs = gen.standard_normal((4, 1024))
+    targets = np.roll(inputs, 3, axis=1) ** 2
+    config = no.WnoConfig(grid=GridSpec((1024,)), width=8, layers=2, levels=3,
+                          wavelet="db4", proj_hidden=32)
+    outputs = {}
+    for w in ("default", 1, 3):
+        pool = ThreadPoolExecutor(w) if w == 3 else None
+        monkeypatch.setattr(ad, "_pool", None if w == "default" else (w, pool))
+        ensemble, traces = ens.rp_train(inputs, targets, config, 2, 1.0, SeededRng(5),
+                                        epochs=1, batch_size=4)
+        mean, spread = ens.rp_predict(ensemble, inputs)
+        ens.save_ensemble(ensemble, tmp_path / str(w))
+        ckpts = {p.name: p.read_bytes() for p in sorted((tmp_path / str(w)).glob("*.ckpt"))}
+        outputs[w] = (traces, mean.tobytes(), spread.tobytes(), ckpts)
+        if pool is not None:
+            pool.shutdown()
+    assert outputs[1] == outputs["default"]
+    assert outputs[3] == outputs["default"]

@@ -6,8 +6,13 @@ Each subcommand is checked for its exit code and artifacts, and each
 failure path for its documented exit code.
 """
 
+import ctypes
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +174,52 @@ def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys):
     assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 8
     assert "calibration[6]" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.opdata"))
+
+
+# --------------------------------------------------------------------------
+# process setup: freed arrays stay in the heap of a command's process
+# --------------------------------------------------------------------------
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Twenty times, a (20, 1024, 128) array and its product are allocated and
+# freed, as a model op's forward does; prints the minor faults they cost.
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from opcert import cli
+if sys.argv[1] == "main":
+    cli.main(["generate-data", "--config", "missing.cfg", "--out", "unused"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    a = np.ones((20, 1024, 128))
+    b = a * 2.0
+    del a, b
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_main_keeps_freed_arrays_in_the_heap(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    faults = {}
+    for mode in ("main", "import"):
+        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, mode], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        faults[mode] = int(proc.stdout.split()[-1])
+    assert faults["main"] * 3 < faults["import"], faults
+
+
+def test_main_runs_without_mallopt(monkeypatch, tmp_path):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    cfg = write_config(tmp_path / "run.cfg", **{**TINY, "n_train": 1, "n_calibration": 1,
+                                                "n_test": 1})
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 0
+    assert sorted(p.name for p in (tmp_path / "data").glob("*.opdata")) == [
+        "calibration.opdata", "test.opdata", "train.opdata"]

@@ -156,19 +156,46 @@ class TestBand:
         with pytest.raises(ShapeError):
             cf.band(np.zeros(4), np.ones(4), qf)
 
+    def test_stack_equals_per_sample_bands(self):
+        # one (B, *grid) band is the per-sample bands stacked, bit for bit
+        gen = SeededRng(18).generator()
+        grid = GridSpec((3, 4))
+        mu = gen.standard_normal((5, 3, 4))
+        s = np.abs(gen.standard_normal((5, 3, 4)))
+        s[1, 2, 3] = 0.0
+        q = np.abs(gen.standard_normal((3, 4)))
+        q[2, 3] = np.inf
+        qf = cf.QField(q, grid, 0.05)
+        band = cf.band(mu, s, qf, z=1.7)
+        cq = cf.cq_band(mu, mu + s, qf)
+        for i in range(5):
+            one = cf.band(mu[i], s[i], qf, z=1.7)
+            assert np.array_equal(band.lower[i], one.lower)
+            assert np.array_equal(band.upper[i], one.upper)
+            one = cf.cq_band(mu[i], mu[i] + s[i], qf)
+            assert np.array_equal(cq.lower[i], one.lower)
+            assert np.array_equal(cq.upper[i], one.upper)
+
+    def test_stack_with_wrong_grid_rejected(self):
+        qf = cf.QField(np.ones(3), GridSpec((3,)), 0.05)
+        with pytest.raises(ShapeError):
+            cf.band(np.zeros((2, 4)), np.ones((2, 4)), qf)
+        with pytest.raises(ShapeError):
+            cf.cq_band(np.zeros((2, 3)), np.ones((3, 3)), qf)
+
 
 class TestCoverage:
     def test_truth_at_mean_full_coverage(self):
-        bands = [Band(-np.ones(4), np.ones(4)) for _ in range(5)]
+        band = Band(-np.ones((5, 4)), np.ones((5, 4)))
         truths = np.zeros((5, 4))
-        report = cf.coverage_eval(bands, truths)
+        report = cf.coverage_eval(band, truths)
         assert report.average == 100.0
         assert report.below_target == 0
         assert report.at_or_above_target == 4
 
     def test_zero_width_offset_zero_coverage(self):
-        bands = [Band(np.zeros(3), np.zeros(3)) for _ in range(4)]
-        report = cf.coverage_eval(bands, np.ones((4, 3)))
+        band = Band(np.zeros((4, 3)), np.zeros((4, 3)))
+        report = cf.coverage_eval(band, np.ones((4, 3)))
         assert report.average == 0.0
         assert report.below_target == 3
 
@@ -177,8 +204,7 @@ class TestCoverage:
         lows = gen.standard_normal((10, 6)) - 1.0
         highs = lows + np.abs(gen.standard_normal((10, 6))) * 2
         truths = gen.standard_normal((10, 6))
-        bands = [Band(lows[i], highs[i]) for i in range(10)]
-        report = cf.coverage_eval(bands, truths)
+        report = cf.coverage_eval(Band(lows, highs), truths)
         for j in range(6):
             count = sum(lows[i, j] <= truths[i, j] <= highs[i, j] for i in range(10))
             assert report.per_location[j] == pytest.approx(100.0 * count / 10)
@@ -189,9 +215,15 @@ class TestCoverage:
         assert report.average == pytest.approx(report.per_location.mean(), abs=1e-9)
         assert report.below_target + report.at_or_above_target == 50
 
+    def test_band_must_match_truths(self):
+        with pytest.raises(ValueError):
+            cf.coverage_eval(Band(np.zeros((3, 2)), np.ones((3, 2))), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            cf.coverage_eval(Band(np.zeros((0, 2)), np.ones((0, 2))), np.zeros((0, 2)))
+
     def test_boundary_counts_as_covered(self):
-        bands = [Band(np.zeros(1), np.ones(1))]
-        assert cf.coverage_eval(bands, np.array([[1.0]])).average == 100.0
+        band = Band(np.zeros((1, 1)), np.ones((1, 1)))
+        assert cf.coverage_eval(band, np.array([[1.0]])).average == 100.0
 
 
 class TestQuantilePairPath:

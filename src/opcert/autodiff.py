@@ -17,19 +17,11 @@ it separably along H and W.
 
 gelu keeps only its cdf from the forward and forms the derivative inside
 its gradient closure, so a forward that is never differentiated pays for
-no exp and holds no derivative array; `vsn` does the same for its
-surrogate and its gelu derivative. The gelu kernels work in place on
-preallocated outputs: the forward fills cdf and x * cdf, the backward
-fills g * (cdf + x * pdf) in one buffer. Contiguous arrays are worked
-through in flat blocks of 2^15 elements, so the arrays of a block stay in
-cache across the ufunc calls; non-contiguous ones go in one call. From
-2^16 elements up, the calling thread and a thread pool with one worker
-per usable CPU take blocks in turn. Each element goes through the same
-ufuncs in the same order as the one-shot formula, and elementwise ufuncs
-do not look at neighbouring elements, so the result is bitwise equal for
-any worker count. Workers call only numpy/scipy ufuncs on slices, never
-a public function of this package: a tracer that wraps those functions
-may assume that its spans nest on one thread.
+no exp and holds no derivative array. Its kernels work in place on
+preallocated outputs on the calling thread: the forward fills cdf and
+x * cdf, the backward fills g * (cdf + x * pdf) in one buffer. Each
+element goes through the same ufuncs in the same order as the one-shot
+formula, so the results are bitwise equal to it.
 
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate for the
@@ -158,68 +150,18 @@ def bias_add(x: Node, b: Node) -> Node:
 # The gelu kernels apply, in place and in this order, the one-shot formulas
 #   cdf = 0.5 * (1 + erf(x / sqrt2)),   value = x * cdf,
 #   g * (cdf + x * (c * exp((-0.5 * x) * x))),   c = 1 / sqrt(2 pi).
-_BLOCK = 1 << 15  # elements per ufunc call: the arrays of one block stay in L2
-_PARALLEL_MIN = 1 << 16  # elements; smaller arrays run on the calling thread
-_pool = None  # (workers, executor or None), made by the first large kernel call
-
-
-def _kernel_pool():
-    """One worker per usable CPU; the executor starts on first use."""
-    global _pool
-    if _pool is None:
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:
-            workers = os.cpu_count() or 1
-        _pool = (workers, ThreadPoolExecutor(workers) if workers > 1 else None)
-    return _pool
-
-
-def _chunked(kernel, *arrays):
-    """kernel(*arrays) over contiguous flat blocks of same-shaped arrays.
-
-    The calling thread and the pool's workers take blocks in turn, so a
-    thread slowed by other load on its core takes fewer of them.
-    """
-    if not all(a.flags.c_contiguous for a in arrays):
-        kernel(*arrays)
-        return
-    import threading
-
-    flat = [a.reshape(-1) for a in arrays]
-    starts = iter(range(0, flat[0].size, _BLOCK))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            kernel(*(f[start : start + _BLOCK] for f in flat))
-
-    workers, pool = _kernel_pool() if flat[0].size >= _PARALLEL_MIN else (1, None)
-    rest = [pool.submit(drain) for _ in range(workers - 1)]
-    try:
-        drain()
-    finally:
-        for part in rest:
-            part.result()
-
-
-def _cdf_value_kernel(x, cdf, value):
-    np.divide(x, _SQRT2, out=cdf)
+def _gelu_cdf_value(x: np.ndarray):
+    """(cdf, x * cdf) of the erf-based gelu."""
+    cdf = np.divide(x, _SQRT2, out=np.empty(x.shape))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    np.multiply(x, cdf, out=value)
+    return cdf, np.multiply(x, cdf, out=np.empty(x.shape))
 
 
-def _slope_kernel(x, cdf, out, g=None):
-    np.multiply(x, -0.5, out=out)
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
+    """gelu'(x) from the kept cdf, times g when given."""
+    out = np.multiply(x, -0.5, out=np.empty(x.shape))
     out *= x
     np.exp(out, out=out)
     out *= _INV_SQRT_2PI
@@ -227,20 +169,6 @@ def _slope_kernel(x, cdf, out, g=None):
     out += cdf
     if g is not None:
         out *= g
-
-
-def _gelu_cdf_value(x: np.ndarray):
-    """(cdf, x * cdf) of the erf-based gelu."""
-    cdf, value = np.empty(x.shape), np.empty(x.shape)
-    _chunked(_cdf_value_kernel, x, cdf, value)
-    return cdf, value
-
-
-def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
-    """gelu'(x) from the kept cdf, times g when given."""
-    out = np.empty(x.shape)
-    gs = () if g is None else (np.asarray(g, dtype=np.float64),)
-    _chunked(_slope_kernel, x, cdf, out, *gs)
     return out
 
 
@@ -398,41 +326,26 @@ def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
     if th.ndim != 1 or th.shape[0] != xv.shape[-1]:
         raise ShapeError(f"vsn: x {xv.shape}, threshold {th.shape} incompatible")
     membrane = xv
-    sig = expit(slope * (membrane - th)) if smooth else None
+    sig = expit(slope * (membrane - th))
+    surr = slope * sig * (1.0 - sig)
     gate = sig if smooth else (membrane >= th).astype(np.float64)
     pre = gate * xv
-    cdf, act = _gelu_cdf_value(pre)
+    act, dact = gelu_value_grad(pre)
     lead = tuple(range(xv.ndim - 1))
 
-    # the surrogate and the gelu derivative are formed on the first
-    # gradient call, so a forward that is never differentiated pays for
-    # neither
-    memo = {}
-
-    def surr():
-        if "surr" not in memo:
-            s = sig if smooth else expit(slope * (membrane - th))
-            memo["surr"] = slope * s * (1.0 - s)
-        return memo["surr"]
-
-    def dact():
-        if "dact" not in memo:
-            memo["dact"] = _gelu_slope(pre, cdf)
-        return memo["dact"]
-
     def out_dx(g):
-        return g * dact() * (gate + xv * surr())
+        return g * dact * (gate + xv * surr)
 
     def out_dth(g):
-        return (g * dact() * xv * (-surr())).sum(axis=lead)
+        return (g * dact * xv * (-surr)).sum(axis=lead)
 
     out_node = Node(act, (x, threshold), (out_dx, out_dth))
 
     def gate_dx(g):
-        return g * surr()
+        return g * surr
 
     def gate_dth(g):
-        return (g * (-surr())).sum(axis=lead)
+        return (g * (-surr)).sum(axis=lead)
 
     gate_node = Node(gate, (x, threshold), (gate_dx, gate_dth))
     return out_node, gate_node

@@ -139,12 +139,15 @@ def conv1x1(x: Node, k: Node) -> Node:
     )
 
 
-def bias_add(x: Node, b: Node) -> Node:
-    """Per-channel bias on the last axis."""
-    if x.value.shape[-1] != b.value.shape[0] or b.value.ndim != 1:
-        raise ShapeError(f"bias_add: x {x.value.shape}, b {b.value.shape}")
-    lead = tuple(range(x.value.ndim - 1))
-    return Node(x.value + b.value, (x, b), (lambda g: g, lambda g: g.sum(axis=lead)))
+def layer_sum(a: Node, b: Node, bias: Node) -> Node:
+    """(a + b) + bias, with a per-channel bias on the last axis, in one array."""
+    _check_same(a, b, "layer_sum")
+    if a.value.shape[-1] != bias.value.shape[0] or bias.value.ndim != 1:
+        raise ShapeError(f"layer_sum: a {a.value.shape}, bias {bias.value.shape}")
+    out = a.value + b.value
+    out += bias.value
+    lead = tuple(range(out.ndim - 1))
+    return Node(out, (a, b, bias), (lambda g: g, lambda g: g, lambda g: g.sum(axis=lead)))
 
 
 # The gelu kernels apply, in place and in this order, the one-shot formulas

@@ -15,8 +15,12 @@ free arrays of up to tens of MB per call; with glibc's defaults they are
 handed back to the kernel and faulted in again on the next call. Both
 settings are needed, because fixing only the trim threshold also turns
 off glibc's dynamic mmap threshold, so every large array is mmap'd anew.
-`mallopt` is glibc's, so where the C library lacks it (musl, macOS) this
-step does nothing. Importing the package changes no allocator setting.
+It also limits glibc to one malloc arena: inference runs one ensemble
+member per core on a thread pool (`core.member_map`), and each pool thread
+would otherwise get an arena of its own, whose freed arrays the other
+threads and later stages cannot reuse. `mallopt` is glibc's, so where the
+C library lacks it (musl, macOS) this step does nothing. Importing the
+package changes no allocator setting.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from . import ensemble as ens
 from . import gp as gpm
 from . import neuralop as no
 from . import serialio as sio
-from .core import Band, GridError, GridSpec, SeededRng, ShapeError, normalized_coordinates
+from .core import (
+    Band, GridError, GridSpec, SeededRng, ShapeError, member_map, normalized_coordinates,
+)
 
 # dedicated stream bases, disjoint from the per-sample data streams
 CALIBRATION_JITTER_STREAM = 4 << 20
@@ -227,10 +233,8 @@ def cmd_calibrate(args) -> int:
             args.alpha, jitter_rng, grid,
         )
     else:
-        lo, hi = model
-        qf = cf.calibrate_cq(
-            cal_out, lo.predict(cal_in), hi.predict(cal_in), args.alpha, jitter_rng, grid
-        )
+        lo_p, hi_p = member_map(lambda m: m.predict(cal_in), model)
+        qf = cf.calibrate_cq(cal_out, lo_p, hi_p, args.alpha, jitter_rng, grid)
     cf.save_qfield(qf, args.out)
     finite = qf.values[np.isfinite(qf.values)]
     if finite.size:
@@ -289,8 +293,7 @@ def _evaluate_rp(ensemble, qf, test_in, test_out, z_uncal):
 
 
 def _evaluate_cq(models, qf, test_in, test_out, target):
-    lo, hi = models
-    lo_p, hi_p = lo.predict(test_in), hi.predict(test_in)
+    lo_p, hi_p = member_map(lambda m: m.predict(test_in), models)
     mid = 0.5 * (lo_p + hi_p)
     return (
         cf.coverage_eval(cf.cq_band(lo_p, hi_p, qf), test_out, target),
@@ -416,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _retain_heap():
-    """Keep freed arrays in the process heap instead of returning them (glibc)."""
+    """Keep freed arrays in the one process heap instead of returning them (glibc)."""
     import ctypes
 
     try:
@@ -430,6 +433,7 @@ def _retain_heap():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

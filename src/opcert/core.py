@@ -6,11 +6,21 @@ of two fields requires identical shapes; the only implicit broadcast
 allowed is a python scalar. Randomness is counter-based (Philox) so that a
 (seed, stream) pair yields the same draws regardless of how many other
 streams were consumed, serially or in parallel.
+
+`member_map` owns the package's one parallelism policy: independent
+models (ensemble members, a quantile pair) run one per core on a thread
+pool, with every loaded OpenBLAS pinned to one thread while the pool runs.
+numpy's ufuncs and matmuls release the GIL, so the threads overlap; a
+model's own arithmetic is unchanged, so results are bit-identical to a
+serial run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,3 +140,79 @@ class Band:
         """Boolean mask of values inside the closed interval."""
         require_same_shape(self.lower, values, "band containment")
         return (values >= self.lower) & (values <= self.upper)
+
+
+# --------------------------------------------------------------------------
+# one model per core
+# --------------------------------------------------------------------------
+
+# thread-count setters of the OpenBLAS builds that numpy and scipy load
+# (each wheel bundles its own copy); the getter has the same name with "get"
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _blas_thread_controls() -> list:
+    """(get, set) thread-count functions, one pair per loaded OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {
+                parts[5].strip()
+                for parts in (line.split(None, 5) for line in fh)
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+            }
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+def member_map(fn, items) -> list:
+    """[fn(item) for item in items], one item per core where that pays.
+
+    Items must be independent models: fn(item) may not touch another
+    item's state. The pool has min(available CPUs, len(items)) threads.
+    While it runs, every loaded OpenBLAS uses one thread (its workers
+    would otherwise spin on the cores the members need), and each old
+    count is restored afterwards, also when fn raises. Where no thread
+    setter is found, or one worker is all there is, fn runs serially on
+    the calling thread.
+    """
+    items = list(items)
+    workers = min(_available_cpus(), len(items))
+    controls = _blas_thread_controls() if workers > 1 else []
+    if not controls:
+        return [fn(item) for item in items]
+    saved = [(setter, getter()) for getter, setter in controls]
+    try:
+        for setter, _ in saved:
+            setter(1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for setter, count in saved:
+            setter(count)

@@ -7,6 +7,12 @@ left by its prior, which is how the prior injects output diversity where
 the data does not pin the ensemble down. Members are fully independent:
 each derives its own random streams from (seed, member index), so
 training one in isolation reproduces its in-ensemble parameters bitwise.
+
+Inference runs one member per core (`core.member_map`): `rp_predict`
+maps the members over the pool, and `rp_train` computes every member's
+prior residual targets there. Training itself stays serial: on the pool
+it was faster, but every member's graph and Adam state were then live at
+once, and peak memory grew by two thirds (darcy-32, 287 -> 484 MB).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import neuralop as no
 from . import serialio as sio
-from .core import Band, SeededRng
+from .core import Band, SeededRng, member_map
 
 # stream offsets inside a member's block of the seed space
 _MEMBER_BLOCK = 16
@@ -98,13 +104,14 @@ def rp_train(
     if len(inputs) == 0:
         raise ValueError("training dataset is empty")
     loss_config = loss_config or no.LossConfig("l2")
-    members, traces = [], []
-    for k in range(n_c):
-        member = build_member(config, prior_weight, rng, k)
-        if config.normalize:
+    members = [build_member(config, prior_weight, rng, k) for k in range(n_c)]
+    if config.normalize:
+        for member in members:
             member.trainable.set_normalization(inputs, targets)
             member.prior.norm = member.trainable.norm
-        residual = member.residual_targets(inputs, targets)
+    residuals = member_map(lambda m: m.residual_targets(inputs, targets), members)
+    traces = []
+    for k, (member, residual) in enumerate(zip(members, residuals)):
         batch_rng = rng.substream(_MEMBER_BLOCK * k + _BATCH_OFF)
         try:
             trace = no.train(
@@ -119,14 +126,13 @@ def rp_train(
             )
         except no.TrainingDiverged as exc:
             raise EnsembleTrainingError(f"member {k} diverged: {exc}") from exc
-        members.append(member)
         traces.append(trace)
     return RpEnsemble(members, config, prior_weight), traces
 
 
 def rp_predict(ensemble: RpEnsemble, inputs: np.ndarray):
     """Elementwise ensemble mean and population standard deviation."""
-    preds = np.stack([m.predict(inputs) for m in ensemble.members])
+    preds = np.stack(member_map(lambda m: m.predict(inputs), ensemble.members))
     mean = preds.mean(axis=0)
     spread = np.sqrt(np.mean((preds - mean) ** 2, axis=0))
     return mean, spread

@@ -38,6 +38,9 @@ from .core import GridError, GridSpec, SeededRng, normalized_coordinates
 
 ACTIVATIONS = ("gelu", "vsn", "identity")
 
+# `predict` runs the forward on chunks of about this many grid points
+PREDICT_CHUNK_POINTS = 4096
+
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; message carries epoch/batch indices."""
@@ -206,7 +209,7 @@ class WnoModel:
         for i in range(cfg.layers):
             k = _wavelet_kernel(v, self.params[f"layer{i}.r"], filt, levels, spatial)
             w = ad.conv1x1(v, self.params[f"layer{i}.k"])
-            z = ad.bias_add(ad.add(k, w), self.params[f"layer{i}.b"])
+            z = ad.layer_sum(k, w, self.params[f"layer{i}.b"])
             if cfg.activation == "gelu":
                 v = ad.gelu(z)
             elif cfg.activation == "identity":
@@ -221,9 +224,23 @@ class WnoModel:
         return out, gates
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Batched inference in physical units; inputs (B, *grid)."""
-        out, _ = self.forward_nodes(inputs)
-        y = out.value[..., 0].reshape(inputs.shape)
+        """Batched inference in physical units; inputs (B, *grid).
+
+        The forward runs on chunks of max(1, PREDICT_CHUNK_POINTS // grid
+        points) samples, and each chunk's graph is freed before the next
+        one is built, so the live activations stay at a few (chunk, grid,
+        channels) arrays whatever B is. Samples do not interact in the
+        forward, so the result equals one forward over the whole batch.
+        """
+        x = np.asarray(inputs, dtype=np.float64)
+        n_pts = math.prod(x.shape[1:])
+        step = max(1, PREDICT_CHUNK_POINTS // n_pts)
+        y = np.empty(x.shape)
+        rows = y.reshape(len(x), n_pts)
+        for start in range(0, len(x), step):
+            out, _ = self.forward_nodes(x[start : start + step])
+            rows[start : start + step] = out.value[..., 0]
+            del out
         if self.norm is not None:
             y = y * self.norm.out_std + self.norm.out_mean
         return y

@@ -14,12 +14,8 @@ therefore v + A^T ((A v)(R - I)), with no detail coefficient ever formed.
 `lowpass_pair` builds A from the filter taps, once per (family, n, levels).
 A length n that 2^L does not divide is symmetric-padded at its end to the
 next multiple m; the pair folds that padding in: analysis A P, synthesis
-the first n rows of A^T.
-
-The packed multilevel transforms below (`dwt_packed`, `dwt2d_packed` and
-their inverses) compute every band by the full cascade. They are the
-reference the lowpass pair is tested against; a multilevel transform
-needs a length divisible by 2^levels.
+the first n rows of A^T. The tests check the pair against the full
+multilevel cascade (tests/wavelet_oracle.py).
 """
 
 from __future__ import annotations
@@ -108,65 +104,6 @@ def get_filter(name: str) -> WaveletFilter:
 
 
 @lru_cache(maxsize=None)
-def _step_matrix(name: str, n: int) -> np.ndarray:
-    """Single-level orthogonal step as a dense (n, n) operator.
-
-    Row k is the lowpass window anchored at sample 2k (mod n); row n/2+k
-    the matching highpass window. The tap loop runs once per (family, n)
-    and the hot path becomes one matmul per level.
-    """
-    filt = get_filter(name)
-    m = np.zeros((n, n))
-    for k in range(n // 2):
-        for tap in range(filt.length):
-            col = (2 * k + tap) % n
-            m[k, col] += filt.dec_lo[tap]
-            m[n // 2 + k, col] += filt.dec_hi[tap]
-    m.setflags(write=False)
-    return m
-
-
-def _analysis_step(x: np.ndarray, filt: WaveletFilter):
-    """One periodic decimating filter-bank step along the last axis."""
-    n = x.shape[-1]
-    if n % 2:
-        raise DecompositionError(f"length {n} is odd; cannot halve")
-    y = x @ _step_matrix(filt.name, n).T
-    return y[..., : n // 2], y[..., n // 2 :]
-
-
-def _synthesis_step(lo: np.ndarray, hi: np.ndarray, filt: WaveletFilter) -> np.ndarray:
-    """Transpose of _analysis_step; exact inverse by orthogonality."""
-    n = 2 * lo.shape[-1]
-    return np.concatenate([lo, hi], axis=-1) @ _step_matrix(filt.name, n)
-
-
-def _check_depth(n: int, levels: int, what: str):
-    if levels < 1:
-        raise DecompositionError(f"levels must be >= 1, got {levels}")
-    if n % (1 << levels):
-        raise DecompositionError(
-            f"{what} length {n} not divisible by 2^{levels}; pad or reduce levels"
-        )
-
-
-def _analysis_step_2d(x: np.ndarray, filt: WaveletFilter):
-    # separable: filter along the second axis, then the first;
-    # dx = highpass along axis -2, dy = highpass along axis -1
-    lo, hi = _analysis_step(x, filt)
-    a, dx = (np.swapaxes(s, -1, -2) for s in _analysis_step(np.swapaxes(lo, -1, -2), filt))
-    dy, dxy = (np.swapaxes(s, -1, -2) for s in _analysis_step(np.swapaxes(hi, -1, -2), filt))
-    return a, (dx, dy, dxy)
-
-
-def _synthesis_step_2d(a, dets, filt: WaveletFilter) -> np.ndarray:
-    dx, dy, dxy = dets
-    lo = np.swapaxes(_synthesis_step(np.swapaxes(a, -1, -2), np.swapaxes(dx, -1, -2), filt), -1, -2)
-    hi = np.swapaxes(_synthesis_step(np.swapaxes(dy, -1, -2), np.swapaxes(dxy, -1, -2), filt), -1, -2)
-    return _synthesis_step(lo, hi, filt)
-
-
-@lru_cache(maxsize=None)
 def lowpass_pair(name: str, n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-`levels` approximation analysis and synthesis on n samples.
 
@@ -200,75 +137,3 @@ def lowpass_pair(name: str, n: int, levels: int) -> tuple[np.ndarray, np.ndarray
     analysis.setflags(write=False)
     synthesis.setflags(write=False)
     return analysis, synthesis
-
-
-# ---------------------------------------------------------------------------
-# Packed in-place layouts used by the differentiable operator layers. These
-# accept arbitrary leading batch axes and keep spatial size unchanged:
-# 1D layout [a_m | d_m | ... | d_1]; 2D packs each level's quadrants into
-# the top-left block of the previous one.
-# ---------------------------------------------------------------------------
-
-
-def dwt_packed(x: np.ndarray, filt: WaveletFilter, levels: int) -> np.ndarray:
-    """Multilevel transform of (..., N) signals into the packed layout."""
-    n = x.shape[-1]
-    _check_depth(n, levels, "signal")
-    out = np.empty_like(x, dtype=np.float64)
-    cur = np.asarray(x, dtype=np.float64)
-    hi_end = n
-    for _ in range(levels):
-        cur, hi = _analysis_step(cur, filt)
-        out[..., hi_end // 2 : hi_end] = hi
-        hi_end //= 2
-    out[..., :hi_end] = cur
-    return out
-
-
-def idwt_packed(c: np.ndarray, filt: WaveletFilter, levels: int) -> np.ndarray:
-    """Inverse of dwt_packed."""
-    n = c.shape[-1]
-    _check_depth(n, levels, "coefficient vector")
-    half = n >> levels
-    cur = np.asarray(c[..., :half], dtype=np.float64)
-    for _ in range(levels):
-        cur = _synthesis_step(cur, c[..., half : 2 * half], filt)
-        half *= 2
-    return cur
-
-
-def dwt2d_packed(x: np.ndarray, filt: WaveletFilter, levels: int) -> np.ndarray:
-    """Multilevel transform of (..., H, W) fields into quadrant packing."""
-    h, w = x.shape[-2:]
-    _check_depth(h, levels, "field rows")
-    _check_depth(w, levels, "field columns")
-    out = np.array(x, dtype=np.float64)
-    ch, cw = h, w
-    for _ in range(levels):
-        a, (dx, dy, dxy) = _analysis_step_2d(out[..., :ch, :cw], filt)
-        ch //= 2
-        cw //= 2
-        out[..., :ch, :cw] = a
-        out[..., :ch, cw : 2 * cw] = dy
-        out[..., ch : 2 * ch, :cw] = dx
-        out[..., ch : 2 * ch, cw : 2 * cw] = dxy
-    return out
-
-
-def idwt2d_packed(c: np.ndarray, filt: WaveletFilter, levels: int) -> np.ndarray:
-    """Inverse of dwt2d_packed."""
-    h, w = c.shape[-2:]
-    _check_depth(h, levels, "field rows")
-    _check_depth(w, levels, "field columns")
-    out = np.array(c, dtype=np.float64)
-    ch, cw = h >> levels, w >> levels
-    for _ in range(levels):
-        a = out[..., :ch, :cw]
-        dy = out[..., :ch, cw : 2 * cw]
-        dx = out[..., ch : 2 * ch, :cw]
-        dxy = out[..., ch : 2 * ch, cw : 2 * cw]
-        rec = _synthesis_step_2d(a.copy(), (dx.copy(), dy.copy(), dxy.copy()), filt)
-        ch *= 2
-        cw *= 2
-        out[..., :ch, :cw] = rec
-    return out

@@ -6,6 +6,8 @@ from opcert import autodiff as ad
 from opcert import wavelet as wv
 from opcert.core import ShapeError
 
+import wavelet_oracle as wo
+
 
 def fd_gradient(closure, param, eps=1e-5):
     flat = param.value.reshape(-1)
@@ -130,7 +132,7 @@ class TestWaveletOps:
         ad.backward(ad.sum_all(ad.mul(node, ad.constant(g))))
         packed = np.zeros((1, 1, 64))
         packed[..., :16] = np.swapaxes(g, -1, -2)
-        expected = np.swapaxes(wv.idwt_packed(packed, f, 2), -1, -2)
+        expected = np.swapaxes(wo.idwt_packed(packed, f, 2), -1, -2)
         assert np.max(np.abs(x.grad - expected)) < 1e-12
 
     @pytest.mark.parametrize("n,hw", [(64, None), (85, None), (None, (16, 12)), (None, (18, 13))])
@@ -317,3 +319,34 @@ class TestInPlaceKernels:
         dx, dth = (fn(g) for fn in gate_node.grad_fns)
         assert np.array_equal(dx, g * surr)
         assert np.array_equal(dth, (g * (-surr)).sum(axis=(0, 1)))
+
+
+def bias_add_oracle(x, b):
+    """The former per-channel bias node, applied after ad.add."""
+    lead = tuple(range(x.value.ndim - 1))
+    return ad.Node(x.value + b.value, (x, b), (lambda g: g, lambda g: g.sum(axis=lead)))
+
+
+class TestLayerSum:
+    @pytest.mark.parametrize("shape", [(3, 16, 4), (2, 1024, 16), (1, 7)])
+    def test_matches_add_then_bias(self, shape):
+        gen = np.random.default_rng(40)
+        vals = [gen.standard_normal(shape), gen.standard_normal(shape),
+                gen.standard_normal(shape[-1])]
+        weights = gen.standard_normal(shape)
+        results = []
+        for build in (lambda a, b, c: ad.layer_sum(a, b, c),
+                      lambda a, b, c: bias_add_oracle(ad.add(a, b), c)):
+            params = [ad.Parameter(v.copy(), n) for v, n in zip(vals, "abc")]
+            out = build(*params)
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
+            results.append([out.value] + [p.grad for p in params])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_shape_checks(self):
+        a, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            ad.layer_sum(a, ad.constant(np.zeros((3, 3))), ad.constant(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.layer_sum(a, b, ad.constant(np.zeros(2)))

@@ -216,6 +216,59 @@ def test_main_keeps_freed_arrays_in_the_heap(tmp_path):
     assert faults["main"] * 3 < faults["import"], faults
 
 
+# An array is freed on a worker thread, then one of the same size is made
+# on the main thread; prints the minor faults of each. With one malloc
+# arena the main thread reuses the worker's pages.
+ARENA_PROBE = """
+import resource, threading
+import numpy as np
+from opcert import cli
+cli._retain_heap()
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def work():
+    a = np.ones(1 << 20)
+    del a
+start = faults()
+worker = threading.Thread(target=work)
+worker.start()
+worker.join()
+middle = faults()
+b = np.ones(1 << 20)
+print(middle - start, faults() - middle)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_main_thread_reuses_arrays_freed_in_a_worker(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", ARENA_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    worker, main = map(int, proc.stdout.split())
+    assert main * 3 < worker, (worker, main)
+
+
+def test_outputs_do_not_depend_on_blas_threads(root, tmp_path):
+    """train, calibrate and evaluate write the same bytes with 1 and 2 BLAS threads."""
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        for argv in (
+            ["train", "--config", root / "rp-wno.cfg", "--data", root / "data", "--out", out],
+            ["calibrate", "--ckpt", out, "--data", root / "data", "--out", out / "q.qfield"],
+            ["evaluate", "--ckpt", out, "--qfield", out / "q.qfield", "--data", root / "data",
+             "--out", out / "coverage.csv"],
+        ):
+            subprocess.run([sys.executable, "-m", "opcert.cli", *map(str, argv)], env=env,
+                           cwd=tmp_path, capture_output=True, check=True, timeout=300)
+        names = sorted(p.name for p in out.glob("*.ckpt")) + ["q.qfield", "coverage.csv"]
+        outputs[threads] = {name: (out / name).read_bytes() for name in names}
+    assert len(outputs["1"]) == 6  # two members, each with a prior
+    assert outputs["1"] == outputs["2"]
+
+
 def test_main_runs_without_mallopt(monkeypatch, tmp_path):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     cfg = write_config(tmp_path / "run.cfg", **{**TINY, "n_train": 1, "n_calibration": 1,

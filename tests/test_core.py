@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from opcert import core
 from opcert.core import (
     Band,
     GridError,
@@ -108,3 +112,67 @@ class TestBand:
     def test_width(self):
         band = Band(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
         assert np.array_equal(band.width, np.array([2.0, 3.0]))
+
+
+class TestMemberMap:
+    """One model per core, with every OpenBLAS pinned to one thread meanwhile."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(core, "_available_cpus", lambda: 2)
+
+    @pytest.fixture
+    def blas_at_two(self):
+        """Every loaded OpenBLAS set to (at most) two threads, put back afterwards."""
+        controls = core._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls, [get() for get, _ in controls]
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+    def test_keeps_input_order(self, two_cpus):
+        def slow_first(i):
+            time.sleep(0.05 if i == 0 else 0.0)
+            return i * i
+
+        assert core.member_map(slow_first, range(5)) == [0, 1, 4, 9, 16]
+
+    def test_pins_blas_and_restores_it(self, two_cpus, blas_at_two):
+        controls, before = blas_at_two
+        seen = core.member_map(lambda _: [get() for get, _ in controls], range(2))
+        assert seen == [[1] * len(controls)] * 2
+        assert [get() for get, _ in controls] == before
+
+    def test_restores_blas_when_a_member_raises(self, two_cpus, blas_at_two):
+        controls, before = blas_at_two
+
+        def fail_second(i):
+            if i == 1:
+                raise RuntimeError("member 1 broke")
+            return i
+
+        with pytest.raises(RuntimeError, match="member 1 broke"):
+            core.member_map(fail_second, range(3))
+        assert [get() for get, _ in controls] == before
+
+    def test_runs_on_worker_threads(self, two_cpus):
+        if not core._blas_thread_controls():
+            pytest.skip("no OpenBLAS thread setter in this process")
+        barrier = threading.Barrier(2, timeout=10)
+        # both members must be running at once to pass the barrier
+        idents = core.member_map(lambda _: (barrier.wait(), threading.get_ident())[1], range(2))
+        assert len(set(idents)) == 2 and threading.get_ident() not in idents
+
+    def test_serial_without_a_blas_setter(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(core, "_blas_thread_controls", lambda: [])
+        idents = core.member_map(lambda _: threading.get_ident(), range(4))
+        assert idents == [threading.get_ident()] * 4
+
+    def test_serial_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(core, "_available_cpus", lambda: 1)
+        idents = core.member_map(lambda _: threading.get_ident(), range(3))
+        assert idents == [threading.get_ident()] * 3

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from opcert import core
 from opcert import ensemble as ens
 from opcert import neuralop as no
 from opcert.core import GridSpec, SeededRng
@@ -192,3 +193,27 @@ class TestPersistence:
         mean1, spread1 = ens.rp_predict(loaded, x)
         assert np.array_equal(mean0, mean1)
         assert np.array_equal(spread0, spread1)
+
+
+class TestMemberPool:
+    """Members run one per core; the results must not depend on the worker count."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_train_and_predict_match_serial(self, monkeypatch, normalize):
+        gen = SeededRng(15).generator()
+        x = gen.standard_normal((6, 32))
+        y = 0.5 * x + 0.1
+        cfg = tiny_config(normalize=normalize)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_available_cpus", lambda cpus=cpus: cpus)
+            ensemble, traces = ens.rp_train(
+                x, y, cfg, n_c=3, prior_weight=1.0, rng=SeededRng(16),
+                epochs=2, batch_size=3,
+            )
+            mean, spread = ens.rp_predict(ensemble, x)
+            runs[cpus] = ([param_hash(m.trainable) for m in ensemble.members], traces,
+                          mean, spread)
+        (h1, t1, m1, s1), (h2, t2, m2, s2) = runs[1], runs[2]
+        assert h1 == h2 and t1 == t2
+        assert np.array_equal(m1, m2) and np.array_equal(s1, s2)

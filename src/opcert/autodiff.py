@@ -18,10 +18,19 @@ it separably along H and W.
 gelu keeps only its cdf from the forward and forms the derivative inside
 its gradient closure, so a forward that is never differentiated pays for
 no exp and holds no derivative array. Its kernels work in place on
-preallocated outputs on the calling thread: the forward fills cdf and
-x * cdf, the backward fills g * (cdf + x * pdf) in one buffer. Each
-element goes through the same ufuncs in the same order as the one-shot
-formula, so the results are bitwise equal to it.
+preallocated outputs: the forward fills cdf and x * cdf, the backward
+fills g * (cdf + x * pdf) in one buffer. Each element goes through the
+same ufuncs in the same order as the one-shot formula, so the results
+are bitwise equal to it.
+
+The per-sample work of a step runs on two cores through `core.halves`:
+the gelu kernels over flat halves of their arrays, and the matmuls of
+`affine`, `conv1x1` (forward and input gradient) and the wavelet
+analysis and synthesis over halves of the batch axis. Each half makes
+the same per-element ufunc or per-sample BLAS calls as the whole, so
+the results do not depend on the split. Weight-gradient reductions, the
+bias sums and the losses stay whole: splitting them would change their
+summation order. Only private kernels run on the helper thread.
 
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate for the
@@ -39,7 +48,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from . import wavelet as wv
-from .core import ShapeError
+from .core import ShapeError, halves
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -105,6 +114,24 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), (lambda g: g * c,))
 
 
+def _matmul(a: np.ndarray, m: np.ndarray, bias=None) -> np.ndarray:
+    """a @ m (+ bias) for a (..., K) and m (K, M); (B, N, K) splits over B."""
+    if a.ndim < 3:
+        out = a @ m
+        if bias is not None:
+            out += bias
+        return out
+    out = np.empty(a.shape[:-1] + (m.shape[1],))
+
+    def kernel(s):
+        part = np.matmul(a[s], m, out=out[s])
+        if bias is not None:
+            part += bias
+
+    halves(kernel, len(a), max(math.prod(a.shape[1:]), math.prod(out.shape[1:])))
+    return out
+
+
 def affine(x: Node, w: Node, b: Node) -> Node:
     """x @ w + b for x (..., C_in), w (C_in, C_out), b (C_out,)."""
     xv, wv_, bv = x.value, w.value, b.value
@@ -112,14 +139,13 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         raise ShapeError(
             f"affine: x {xv.shape}, w {wv_.shape}, b {bv.shape} incompatible"
         )
-    out = xv @ wv_
-    out += bv
+    out = _matmul(xv, wv_, bv)
     lead = tuple(range(xv.ndim - 1))
     return Node(
         out,
         (x, w, b),
         (
-            lambda g: g @ wv_.T,
+            lambda g: _matmul(g, wv_.T),
             lambda g: np.tensordot(xv, g, axes=(lead, lead)),
             lambda g: g.sum(axis=lead),
         ),
@@ -133,9 +159,9 @@ def conv1x1(x: Node, k: Node) -> Node:
         raise ShapeError(f"conv1x1: x {xv.shape} and kernel {kv.shape} incompatible")
     lead = tuple(range(xv.ndim - 1))
     return Node(
-        xv @ kv,
+        _matmul(xv, kv),
         (x, k),
-        (lambda g: g @ kv.T, lambda g: np.tensordot(xv, g, axes=(lead, lead))),
+        (lambda g: _matmul(g, kv.T), lambda g: np.tensordot(xv, g, axes=(lead, lead))),
     )
 
 
@@ -153,25 +179,40 @@ def layer_sum(a: Node, b: Node, bias: Node) -> Node:
 # The gelu kernels apply, in place and in this order, the one-shot formulas
 #   cdf = 0.5 * (1 + erf(x / sqrt2)),   value = x * cdf,
 #   g * (cdf + x * (c * exp((-0.5 * x) * x))),   c = 1 / sqrt(2 pi).
+# Both run over flat halves of their arrays.
 def _gelu_cdf_value(x: np.ndarray):
     """(cdf, x * cdf) of the erf-based gelu."""
-    cdf = np.divide(x, _SQRT2, out=np.empty(x.shape))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf, np.multiply(x, cdf, out=np.empty(x.shape))
+    cdf, value = np.empty(x.shape), np.empty(x.shape)
+    xf, cf, vf = np.ravel(x), cdf.reshape(-1), value.reshape(-1)
+
+    def kernel(s):
+        c = np.divide(xf[s], _SQRT2, out=cf[s])
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(xf[s], c, out=vf[s])
+
+    halves(kernel, xf.size)
+    return cdf, value
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
     """gelu'(x) from the kept cdf, times g when given."""
-    out = np.multiply(x, -0.5, out=np.empty(x.shape))
-    out *= x
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= x
-    out += cdf
-    if g is not None:
-        out *= g
+    out = np.empty(x.shape)
+    xf, cf, of = np.ravel(x), np.ravel(cdf), out.reshape(-1)
+    gf = None if g is None else np.ravel(g)
+
+    def kernel(s):
+        o = np.multiply(xf[s], -0.5, out=of[s])
+        o *= xf[s]
+        np.exp(o, out=o)
+        o *= _INV_SQRT_2PI
+        o *= xf[s]
+        o += cf[s]
+        if gf is not None:
+            o *= gf[s]
+
+    halves(kernel, xf.size)
     return out
 
 
@@ -237,16 +278,28 @@ def dot_const(x: Node, weights: np.ndarray) -> Node:
 
 
 def _separable(v: np.ndarray, mats, shape) -> np.ndarray:
-    """Apply mats[i] along grid axis i of (..., prod(shape), C) fields."""
-    lead, ch = v.shape[:-2], v.shape[-1]
-    shape = list(shape)
-    out = v
+    """Apply mats[i] along grid axis i of (..., prod(shape), C) fields.
+
+    The fields split over halves of their leading (batch) axes.
+    """
+    ch = v.shape[-1]
+    stack = v.reshape((-1,) + v.shape[-2:])
+    dims = [tuple(shape)]
     for i, m in enumerate(mats):
-        before = math.prod(shape[:i])
-        after = math.prod(shape[i + 1 :]) * ch
-        out = m @ out.reshape(lead + (before, shape[i], after))
-        shape[i] = m.shape[0]
-    return out.reshape(lead + (math.prod(shape), ch))
+        dims.append(dims[i][:i] + (m.shape[0],) + dims[i][i + 1 :])
+    out = np.empty((len(stack), math.prod(dims[-1]), ch))
+
+    def blocks(a, i, grid):
+        return a.reshape((len(a), math.prod(grid[:i]), grid[i], math.prod(grid[i + 1 :]) * ch))
+
+    def kernel(s):
+        cur = stack[s]
+        for i, m in enumerate(mats):
+            dst = blocks(out[s], i, dims[i + 1]) if i == len(mats) - 1 else None
+            cur = np.matmul(m, blocks(cur, i, dims[i]), out=dst)
+
+    halves(kernel, len(stack), max(math.prod(stack.shape[1:]), math.prod(out.shape[1:])))
+    return out.reshape(v.shape[:-2] + out.shape[1:])
 
 
 def _lowpass(x: Node, filt: wv.WaveletFilter, levels: int, shape, synthesis: bool) -> Node:

@@ -7,19 +7,27 @@ allowed is a python scalar. Randomness is counter-based (Philox) so that a
 (seed, stream) pair yields the same draws regardless of how many other
 streams were consumed, serially or in parallel.
 
-`member_map` owns the package's one parallelism policy: independent
-models (ensemble members, a quantile pair) run one per core on a thread
-pool, with every loaded OpenBLAS pinned to one thread while the pool runs.
-numpy's ufuncs and matmuls release the GIL, so the threads overlap; a
-model's own arithmetic is unchanged, so results are bit-identical to a
-serial run.
+The package has one parallelism policy: every core runs one piece of
+work, and every loaded OpenBLAS runs on one thread meanwhile
+(`one_blas_thread`), so its workers do not spin on the cores the pieces
+need. It has two tools. `member_map` runs independent models (ensemble
+members, a quantile pair) one per core on a thread pool; inference uses
+it. `halves` splits one per-sample kernel of a single model in two: the
+main thread computes one half and one helper thread the other, into the
+same preallocated output; training uses it, one member at a time. The
+two never nest: `halves` runs whole on any thread but the main one.
+numpy's ufuncs and matmuls release the GIL, so the threads overlap; every
+element goes through the same ufunc or BLAS call as in a serial run, so
+results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,28 +199,78 @@ def _blas_thread_controls() -> list:
     return controls
 
 
+@contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block.
+
+    Yields whether any thread setter was found. Each old count is
+    restored on exit, also when the block raises.
+    """
+    saved = [(setter, getter()) for getter, setter in _blas_thread_controls()]
+    try:
+        for setter, _ in saved:
+            setter(1)
+        yield bool(saved)
+    finally:
+        for setter, count in saved:
+            setter(count)
+
+
 def member_map(fn, items) -> list:
     """[fn(item) for item in items], one item per core where that pays.
 
     Items must be independent models: fn(item) may not touch another
-    item's state. The pool has min(available CPUs, len(items)) threads.
-    While it runs, every loaded OpenBLAS uses one thread (its workers
-    would otherwise spin on the cores the members need), and each old
-    count is restored afterwards, also when fn raises. Where no thread
-    setter is found, or one worker is all there is, fn runs serially on
-    the calling thread.
+    item's state. The pool has min(available CPUs, len(items)) threads
+    and runs inside `one_blas_thread`. Where no thread setter is found,
+    or one worker is all there is, fn runs serially on the calling thread.
     """
     items = list(items)
     workers = min(_available_cpus(), len(items))
-    controls = _blas_thread_controls() if workers > 1 else []
-    if not controls:
-        return [fn(item) for item in items]
-    saved = [(setter, getter()) for getter, setter in controls]
+    if workers > 1:
+        with one_blas_thread() as pinned:
+            if pinned:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+# --------------------------------------------------------------------------
+# one kernel on two cores
+# --------------------------------------------------------------------------
+
+# below this many elements a split costs more than it saves
+SPLIT_MIN = 1 << 16
+
+_helper = None  # one-thread executor, made by the first split, never at import
+
+
+def halves(kernel, n: int, item_size: int = 1) -> None:
+    """kernel(slice(0, n)), computed as two halves on two cores.
+
+    kernel(s) must write items s of a preallocated output and touch no
+    other item; one item spans item_size elements of the larger of the
+    kernel's input and output. The helper thread runs kernel(slice(h, n))
+    while the caller runs kernel(slice(0, h)); both halves finish before
+    an exception of either propagates. The call stays whole, on the
+    calling thread, when n * item_size < SPLIT_MIN, when n < 2, on any
+    thread but the main one (so `member_map`'s pool never nests) and when
+    one CPU is all there is.
+    """
+    global _helper
+    if (
+        n < 2
+        or n * item_size < SPLIT_MIN
+        or threading.current_thread() is not threading.main_thread()
+        or _available_cpus() < 2
+    ):
+        kernel(slice(0, n))
+        return
+    if _helper is None:
+        _helper = ThreadPoolExecutor(max_workers=1)
+    h = (n + 1) // 2
+    future = _helper.submit(kernel, slice(h, n))
     try:
-        for setter, _ in saved:
-            setter(1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        kernel(slice(0, h))
     finally:
-        for setter, count in saved:
-            setter(count)
+        wait((future,))
+    future.result()

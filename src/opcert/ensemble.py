@@ -10,9 +10,11 @@ training one in isolation reproduces its in-ensemble parameters bitwise.
 
 Inference runs one member per core (`core.member_map`): `rp_predict`
 maps the members over the pool, and `rp_train` computes every member's
-prior residual targets there. Training itself stays serial: on the pool
-it was faster, but every member's graph and Adam state were then live at
-once, and peak memory grew by two thirds (darcy-32, 287 -> 484 MB).
+prior residual targets there. Training takes one member at a time, and
+each of its steps runs on both cores (`neuralop.train`, through
+`core.halves`). Training the members side by side on the pool was about
+as fast, but every member's graph and Adam state were then live at once,
+and peak memory grew by two thirds (darcy-32, 287 -> 484 MB).
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import serialio as sio
 from . import wavelet as wv
-from .core import GridError, GridSpec, SeededRng, normalized_coordinates
+from .core import GridError, GridSpec, SeededRng, normalized_coordinates, one_blas_thread
 
 ACTIVATIONS = ("gelu", "vsn", "identity")
 
@@ -456,7 +456,13 @@ def train(
     rng: SeededRng,
     lr: float = 1e-3,
 ) -> list[float]:
-    """Mini-batch training; returns the per-epoch mean loss trace."""
+    """Mini-batch training; returns the per-epoch mean loss trace.
+
+    Each step runs on both cores: the forward and backward split their
+    per-sample work over `core.halves`, with every OpenBLAS at one thread
+    for the whole loop (`core.one_blas_thread`). The split does not
+    change any result.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if len(inputs) == 0 or len(inputs) != len(targets):
@@ -467,22 +473,23 @@ def train(
     gen = rng.generator()
     state = AdamState()
     trace = []
-    for epoch in range(epochs):
-        perm = gen.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            model.zero_grads()
-            pred, gates = model.forward_nodes(inputs[idx])
-            loss = _loss_node(pred, gates, y_norm[idx], loss_config)
-            val = float(loss.value)
-            if not np.isfinite(val):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
-                )
-            ad.backward(loss)
-            adam_step(model.parameters(), state, lr=lr)
-            total += val * len(idx)
-            seen += len(idx)
-        trace.append(total / seen)
+    with one_blas_thread():
+        for epoch in range(epochs):
+            perm = gen.permutation(n)
+            total, seen = 0.0, 0
+            for start in range(0, n, batch_size):
+                idx = perm[start : start + batch_size]
+                model.zero_grads()
+                pred, gates = model.forward_nodes(inputs[idx])
+                loss = _loss_node(pred, gates, y_norm[idx], loss_config)
+                val = float(loss.value)
+                if not np.isfinite(val):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
+                    )
+                ad.backward(loss)
+                adam_step(model.parameters(), state, lr=lr)
+                total += val * len(idx)
+                seen += len(idx)
+            trace.append(total / seen)
     return trace

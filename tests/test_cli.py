@@ -269,6 +269,15 @@ def test_outputs_do_not_depend_on_blas_threads(root, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+def test_import_starts_no_thread(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    probe = ("import threading, opcert.cli, opcert.core as c; "
+             "print(threading.active_count(), c._helper)")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.split() == ["1", "None"]
+
+
 def test_main_runs_without_mallopt(monkeypatch, tmp_path):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     cfg = write_config(tmp_path / "run.cfg", **{**TINY, "n_train": 1, "n_calibration": 1,

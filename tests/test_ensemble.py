@@ -238,3 +238,48 @@ class TestMemberPool:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+
+class TestTwoCoreTraining:
+    """Each training step splits its per-sample work over two cores, bit for bit."""
+
+    @staticmethod
+    def data():
+        gen = SeededRng(60).generator()
+        x = gen.standard_normal((7, 1024))
+        return x, 0.5 * np.roll(x, 3, axis=1) + 0.1
+
+    @pytest.mark.parametrize("activation, loss", [
+        ("gelu", no.LossConfig("l2")),
+        ("vsn", no.LossConfig("slf", alpha_w=1.0, beta_w=0.1)),
+    ])
+    def test_rp_train_matches_one_cpu(self, on_cpus, activation, loss):
+        x, y = self.data()
+        cfg = tiny_config(grid=GridSpec((1024,)), width=16, layers=2, levels=3,
+                          wavelet="db6", activation=activation, normalize=True)
+
+        def run():
+            ensemble, traces = ens.rp_train(x, y, cfg, n_c=2, prior_weight=1.0,
+                                            rng=SeededRng(61), loss_config=loss,
+                                            epochs=2, batch_size=5)
+            return [param_hash(m.trainable) for m in ensemble.members], traces
+
+        (h1, t1), none = on_cpus(1, run)
+        (h2, t2), splits = on_cpus(2, run)
+        assert none == 0 and splits > 0
+        assert h1 == h2 and t1 == t2
+
+    def test_quantile_model_matches_one_cpu(self, on_cpus):
+        x, y = self.data()
+        cfg = tiny_config(grid=GridSpec((1024,)), width=16, layers=2, levels=3, wavelet="db6")
+
+        def run():
+            model = no.WnoModel.initialize(cfg, SeededRng(62))
+            trace = no.train(model, x, y, no.LossConfig("pinball", eta=0.025), 2, 5,
+                             SeededRng(63))
+            return param_hash(model), trace
+
+        (h1, t1), none = on_cpus(1, run)
+        (h2, t2), splits = on_cpus(2, run)
+        assert none == 0 and splits > 0
+        assert h1 == h2 and t1 == t2

@@ -346,6 +346,31 @@ class TestTraining:
             no.train(model, x, y, no.LossConfig("l2"), 1, 2, SeededRng(35))
 
 
+class TestTrainingBlasThreads:
+    """train pins every OpenBLAS to one thread and puts the old counts back."""
+
+    def test_pinned_while_training_and_restored(self, blas_at_two, monkeypatch):
+        controls, before = blas_at_two
+        seen = []
+        step = no.adam_step
+        monkeypatch.setattr(no, "adam_step", lambda *a, **k: (
+            seen.append([get() for get, _ in controls]), step(*a, **k))[1])
+        model = no.WnoModel.initialize(small_config(), SeededRng(36))
+        x = SeededRng(37).generator().standard_normal((4, 64))
+        no.train(model, x, 0.5 * x, no.LossConfig("l2"), 2, 2, SeededRng(38))
+        assert len(seen) == 4 and all(s == [1] * len(controls) for s in seen)
+        assert [get() for get, _ in controls] == before
+
+    def test_restored_after_divergence(self, blas_at_two):
+        controls, before = blas_at_two
+        model = no.WnoModel.initialize(small_config(), SeededRng(39))
+        x = SeededRng(40).generator().standard_normal((2, 64))
+        with pytest.raises(no.TrainingDiverged):
+            no.train(model, x, np.full((2, 64), np.nan), no.LossConfig("l2"), 1, 2,
+                     SeededRng(41))
+        assert [get() for get, _ in controls] == before
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = small_config(activation="vsn", width=6, proj_hidden=13)

@@ -46,7 +46,6 @@ from .core import (
 # dedicated stream bases, disjoint from the per-sample data streams
 CALIBRATION_JITTER_STREAM = 4 << 20
 TRAIN_STREAM = 5 << 20
-GP_STREAM = 6 << 20
 
 MODEL_KINDS = ("rp-wno", "rp-vswno", "q-wno")
 
@@ -61,7 +60,6 @@ class RunConfig:
     model: str = "rp-wno"
     n_c: int = 10
     alpha: float = 0.05
-    z: float = 1.96
     width: int = 16
     layers: int = 3
     levels: int = 3
@@ -73,7 +71,6 @@ class RunConfig:
     slf_alpha: float = 1.0
     slf_beta: float = 0.0
     prior_weight: float = 1.0
-    jitter: float = 1e-9
     seed: int = 0
     n_train: int = 200
     n_calibration: int = 50
@@ -331,15 +328,17 @@ def cmd_superres(args) -> int:
         raise ConfigError("resolution transfer needs an ensemble checkpoint")
     qf = cf.load_qfield(args.qfield)
     data_kind, grid_hi, test_in, test_out = _load_split(args.data_hi, "test")
-    qf_hi, gp_model = gpm.superres_q(
-        qf, grid_hi, rng=SeededRng(args.seed or 0, GP_STREAM)
-    )
+    qf_hi, gp_model = gpm.superres_q(qf, grid_hi)
+    k = gp_model.params
     cal_rep, unc_rep, nmse = _evaluate_rp(model, qf_hi, test_in, test_out, args.z)
     target = (1.0 - qf.alpha) * 100.0
     _coverage_csv(args.out, grid_hi, cal_rep, unc_rep, nmse, target)
     print(
         f"transferred q {qf.grid.shape} -> {grid_hi.shape} "
-        f"(kernel {gp_model.params}); calibrated avg {cal_rep.average:.2f} "
+        f"(GP mean {gp_model.mean:.4g}, noise variance {gp_model.noise:.4g}, "
+        f"kernel variance {k.variance:.4g}, length {k.length_scale:.4g}, shape {k.shape:.4g}; "
+        f"{len(gp_model.nll_trace) - 1} iterations); "
+        f"calibrated avg {cal_rep.average:.2f} "
         f"vs uncalibrated {unc_rep.average:.2f}; nmse {nmse:.3f}%"
     )
     return 0
@@ -408,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-hi", dest="data_hi", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--z", type=float, default=1.96)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for a uniform command line; the transport draws no random numbers")
     p.set_defaults(func=cmd_superres)
 
     p = sub.add_parser("spiking-report", help="per-site spike activity")

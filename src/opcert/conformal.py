@@ -20,19 +20,6 @@ from . import serialio as sio
 from .core import Band, GridSpec, SeededRng, ShapeError
 
 
-@dataclass(frozen=True)
-class ConformalConfig:
-    alpha: float = 0.05
-    z: float = 1.0
-    jitter: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"miscoverage must lie in (0,1), got {self.alpha}")
-        if self.jitter < 0:
-            raise ValueError("jitter magnitude must be non-negative")
-
-
 @dataclass
 class QField:
     """Per-location conformal parameter on a solution grid."""

@@ -1,25 +1,45 @@
-"""Zero-mean Gaussian-process regression of the conformal parameter field.
+"""Gaussian-process regression of the conformal parameter field.
 
-The kernel is rational-quadratic, k(r) = variance * (1 + r^2/(2*a*l^2))^-a,
-optimized in log-space by gradient descent with a backtracking line search
-on the negative log marginal likelihood, with random restarts. The fitted
-model maps normalized grid coordinates to conformal parameters so bands
-calibrated on one grid can be transported to a finer one.
+The model is y = mu + f + eps: a constant mean mu, a rational-quadratic
+process f with variance v and correlation R(r) = (1 + r^2/(2*a*l^2))^-a,
+and white noise eps with variance v*lam. A per-location `q` is noisy by
+nature (each value is one order statistic), so the noise term is what
+keeps the fit from chasing it. With A = R + lam*I, the mean and variance
+that maximize the likelihood for fixed (l, a, lam) have closed forms,
+mu = 1'A^-1 y / 1'A^-1 1 and v = r'A^-1 r / n with r = y - mu, so the fit
+searches only log(l, a, lam) over this profiled likelihood.
+
+The search is projected gradient descent from one start, `_START`. Each
+first trial step is the Barzilai-Borwein step s'g/g'g, from the changes s
+and g of parameters and gradient over the last step (1 at the start or
+where s'g <= 0), halved until the NLL drops. The run stops when an
+accepted step lowers the NLL by less than `_RTOL` relative. The box is
+fixed: l runs from the smallest spacing between training points to
+`_LENGTH_MAX`, a over `_SHAPE_BOX` and lam over `_NOISE_BOX`, whose floor
+keeps A positive definite. A constant target needs no search (v = 0) and
+gives the constant model. The fitted mean maps normalized grid
+coordinates to conformal parameters, so bands calibrated on one grid can
+be transported to a finer one.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import GridSpec, SeededRng, normalized_coordinates
+from .core import GridSpec, normalized_coordinates
 from .conformal import QField
 
-_DEFAULT_THETA = (1.0, 0.2, 1.0)  # variance, length scale, shape exponent
+_START = (0.2, 1.0, 1.0)  # length scale, shape, noise ratio
+_LENGTH_MAX = 10.0
+_SHAPE_BOX = (1e-2, 1e3)
+_NOISE_BOX = (1e-8, 1e4)
+_RTOL = 1e-10
+_MAX_ITERS = 500
 _MAX_FIT_POINTS = 4000
 
 
@@ -34,16 +54,8 @@ class RqKernelParams:
     shape: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0 or self.shape <= 0:
-            raise ValueError(f"kernel parameters must be positive, got {self}")
-
-    def to_log(self) -> np.ndarray:
-        return np.log([self.variance, self.length_scale, self.shape])
-
-    @staticmethod
-    def from_log(theta: np.ndarray) -> "RqKernelParams":
-        v, l, a = np.exp(theta)
-        return RqKernelParams(float(v), float(l), float(a))
+        if self.variance < 0 or self.length_scale <= 0 or self.shape <= 0:
+            raise ValueError(f"need variance >= 0, length scale and shape > 0, got {self}")
 
 
 def _sqdist(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -59,172 +71,97 @@ def rq_kernel(x1: np.ndarray, x2: np.ndarray, params: RqKernelParams) -> np.ndar
     return params.variance * (1.0 + u) ** (-params.shape)
 
 
-# keep line-search probes inside a numerically representable box
-_LOG_BOUND = 12.0
+def _profiled(sq: np.ndarray, y: np.ndarray, theta: np.ndarray, grad: bool):
+    """Profiled NLL at theta = log(l, a, lam), from squared distances `sq`.
 
-
-def _kernel_and_grads(x: np.ndarray, theta: np.ndarray):
-    """K and dK/d(log theta_j) for the three log-parameters."""
-    v, l, a = np.exp(theta)
-    with np.errstate(over="ignore"):
-        u = _sqdist(x, x) / (2.0 * a * l * l)
-        base = v * (1.0 + u) ** (-a)
-        du = u / (1.0 + u)
-        dv = base
-        dl = base * (2.0 * a * du)
-        da = base * a * (du - np.log1p(u))
-    return base, (dv, dl, da)
-
-
-def _nll_value_grad(x, y, theta, jitter):
-    n = x.shape[0]
-    k, grads = _kernel_and_grads(x, theta)
-    k_j = k + jitter * np.eye(n)
+    Returns (nll, gradient or None, (mu, v, A^-1 r)). mu and v sit at their
+    optimum, so they add nothing to the gradient: d nll / d theta_j is
+    0.5 * tr((A^-1 - b b'/v) dA/d theta_j) with b = A^-1 r.
+    """
+    l, a, lam = np.exp(theta)
+    n = y.size
+    u = sq / (2.0 * a * l * l)
+    corr = (1.0 + u) ** (-a)
     try:
-        factor = cho_factor(k_j, lower=True, check_finite=False)
+        factor = cho_factor(corr + lam * np.eye(n), lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise GpFitError(f"kernel not positive definite at theta={np.exp(theta)}") from exc
-    alpha = cho_solve(factor, y, check_finite=False)
+        raise GpFitError(f"kernel not positive definite at (l, a, lam) = {(l, a, lam)}") from exc
+    solved = cho_solve(factor, np.column_stack([np.ones(n), y]), check_finite=False)
+    mu = float(solved[:, 1].sum() / solved[:, 0].sum())
+    b = solved[:, 1] - mu * solved[:, 0]
+    v = float((y - mu) @ b) / n
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    nll = 0.5 * (logdet + float(y @ alpha))
-    kinv = cho_solve(factor, np.eye(n), check_finite=False)
-    inner = kinv - np.outer(alpha, alpha)
-    grad = np.array([0.5 * float(np.sum(inner * dk)) for dk in grads])
-    return nll, grad, factor, alpha
-
-
-def _nll_only(x, y, theta, jitter):
-    n = x.shape[0]
-    k, _ = _kernel_and_grads(x, theta)
-    try:
-        factor = cho_factor(k + jitter * np.eye(n), lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return np.inf
-    alpha = cho_solve(factor, y, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return 0.5 * (logdet + float(y @ alpha))
+    nll = 0.5 * (n * math.log(2.0 * math.pi * v) + logdet + n)
+    if not grad:
+        return nll, None, (mu, v, b)
+    inner = cho_solve(factor, np.eye(n), check_finite=False) - np.outer(b, b) / v
+    du = u / (1.0 + u)
+    g = 0.5 * np.array([
+        np.sum(inner * corr * (2.0 * a * du)),
+        np.sum(inner * corr * (a * (du - np.log1p(u)))),
+        lam * np.trace(inner),
+    ])
+    return nll, g, (mu, v, b)
 
 
 @dataclass
 class GpModel:
     x_train: np.ndarray
-    targets: np.ndarray
     params: RqKernelParams
-    jitter: float
+    mean: float
+    noise: float
+    weights: np.ndarray  # (K + noise I)^-1 (y - mean)
+    nll_trace: list  # NLL at the start and after every accepted step
     stride: int = 1
-    nll: float = math.inf
-    nll_trace: list = field(default_factory=list)
-    _factor: tuple = None
-    _alpha: np.ndarray = None
-
-    def refactor(self):
-        n = self.x_train.shape[0]
-        k = rq_kernel(self.x_train, self.x_train, self.params) + self.jitter * np.eye(n)
-        self._factor = cho_factor(k, lower=True, check_finite=False)
-        self._alpha = cho_solve(self._factor, self.targets, check_finite=False)
 
 
-def gp_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    theta0: RqKernelParams | None = None,
-    eps_tol: float = 1e-9,
-    max_iters: int = 150,
-    jitter: float = 1e-10,
-    restarts: int = 5,
-    rng: SeededRng | None = None,
-) -> GpModel:
-    """Minimize the NLL over log-parameters; best of `restarts` starts.
-
-    Gradient descent with a backtracking (halving) line search that only
-    accepts descent steps; a run stops when the squared parameter change
-    drops to eps_tol or at max_iters. The Cholesky jitter escalates from
-    its initial value to 1e-6 before the fit is declared failed.
-    """
+def gp_fit(x: np.ndarray, y: np.ndarray) -> GpModel:
+    """Maximize the profiled likelihood over the fixed box (module docstring)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} inputs vs {y.size} targets")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if np.unique(x, axis=0).shape[0] != x.shape[0]:
+    sq = _sqdist(x, x)
+    spacing = math.sqrt(float(np.min(sq + np.diag(np.full(y.size, np.inf)))))
+    if spacing == 0.0:
         raise GpFitError("duplicate training inputs make the kernel singular")
-    theta0 = theta0 or RqKernelParams(*_DEFAULT_THETA)
-    rng = rng or SeededRng(0, 0)
-    gen = rng.generator()
-    starts = [theta0.to_log()]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(theta0.to_log() + gen.uniform(-1.5, 1.5, size=3))
-
-    best = None
-    jit = jitter
-    while True:
-        try:
-            for start in starts:
-                theta = start.copy()
-                nll, grad, _, _ = _nll_value_grad(x, y, theta, jit)
-                trace = [nll]
-                for _ in range(max_iters):
-                    step = 1.0
-                    moved = False
-                    for _ in range(30):
-                        cand = np.clip(theta - step * grad, -_LOG_BOUND, _LOG_BOUND)
-                        cand_nll = _nll_only(x, y, cand, jit)
-                        if cand_nll < nll:
-                            moved = True
-                            break
-                        step *= 0.5
-                    if not moved:
-                        break
-                    delta = cand - theta
-                    theta = cand
-                    nll, grad, _, _ = _nll_value_grad(x, y, theta, jit)
-                    trace.append(nll)
-                    if float(delta @ delta) <= eps_tol:
-                        break
-                if best is None or nll < best[0]:
-                    best = (nll, theta, trace)
+    if np.all(y == y[0]):
+        return GpModel(x, RqKernelParams(0.0, *_START[:2]), float(y[0]), 0.0, np.zeros(y.size),
+                       [-math.inf])
+    lo = np.log([spacing, _SHAPE_BOX[0], _NOISE_BOX[0]])
+    hi = np.log([_LENGTH_MAX, _SHAPE_BOX[1], _NOISE_BOX[1]])
+    theta = np.clip(np.log(_START), lo, hi)
+    nll, grad, fit = _profiled(sq, y, theta, True)
+    trace, step = [nll], 1.0
+    for _ in range(_MAX_ITERS):
+        for _ in range(30):
+            cand = np.clip(theta - step * grad, lo, hi)
+            if not np.array_equal(cand, theta) and _profiled(sq, y, cand, False)[0] < nll:
+                break
+            step *= 0.5
+        else:
+            break  # no descent step left
+        nll, cand_grad, fit = _profiled(sq, y, cand, True)
+        s, dg = cand - theta, cand_grad - grad
+        step = float(s @ dg) / float(dg @ dg) if s @ dg > 0 else 1.0
+        theta, grad = cand, cand_grad
+        trace.append(nll)
+        if trace[-2] - nll <= _RTOL * abs(nll):
             break
-        except GpFitError:
-            if jit >= 1e-6:
-                raise
-            jit = min(jit * 100.0, 1e-6)
-            best = None
-    nll, theta, trace = best
-    model = GpModel(
-        x_train=x,
-        targets=y,
-        params=RqKernelParams.from_log(theta),
-        jitter=jit,
-        nll=nll,
-        nll_trace=trace,
-    )
-    model.refactor()
-    return model
+    mu, v, b = fit
+    l, a, lam = np.exp(theta)
+    return GpModel(x, RqKernelParams(v, float(l), float(a)), mu, v * float(lam), b / v, trace)
 
 
-def gp_predict(model: GpModel, x_query: np.ndarray):
-    """Predictive mean and variance at query coordinates."""
-    if model._factor is None:
-        model.refactor()
+def gp_predict(model: GpModel, x_query: np.ndarray) -> np.ndarray:
+    """Predictive mean at query coordinates."""
     xq = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
-    k_cross = rq_kernel(model.x_train, xq, model.params)  # (n, m)
-    mean = k_cross.T @ model._alpha
-    solved = cho_solve(model._factor, k_cross, check_finite=False)
-    var = model.params.variance - np.sum(k_cross * solved, axis=0)
-    if np.any(var < -1e-10):
-        warnings.warn("predictive variance clipped from below", RuntimeWarning, stacklevel=2)
-    return mean, np.maximum(var, 0.0)
+    return model.mean + rq_kernel(xq, model.x_train, model.params) @ model.weights
 
 
-def superres_q(
-    qfield: QField,
-    target_grid: GridSpec,
-    theta0: RqKernelParams | None = None,
-    eps_tol: float = 1e-9,
-    max_iters: int = 150,
-    rng: SeededRng | None = None,
-) -> tuple[QField, GpModel]:
+def superres_q(qfield: QField, target_grid: GridSpec) -> tuple[QField, GpModel]:
     """Transport a conformal parameter field to a new grid via the GP mean.
 
     Locations with infinite q are excluded from the fit (they carry no
@@ -251,11 +188,8 @@ def superres_q(
     coords = normalized_coordinates(qfield.grid).reshape(*finite.shape, -1)[sub]
     coords = coords.reshape(mask.size, -1)[mask]
     values = qfield.values[sub].ravel()[mask]
-    model = gp_fit(
-        coords, values, theta0=theta0, eps_tol=eps_tol, max_iters=max_iters, rng=rng
-    )
+    model = gp_fit(coords, values)
     model.stride = stride
-    query = normalized_coordinates(target_grid)
-    mean, _ = gp_predict(model, query)
+    mean = gp_predict(model, normalized_coordinates(target_grid))
     mean = np.maximum(mean, 0.0).reshape(target_grid.shape)
     return QField(mean, target_grid, qfield.alpha, qfield.z), model

@@ -142,6 +142,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["z", "jitter"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    # nothing read these keys, so a config that sets them is rejected
+    cfg = write_config(tmp_path / "old.cfg", **TINY, **{key: 1.0})
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_missing_split_exits_3(root, tmp_path):
     (tmp_path / "empty").mkdir()
     assert opcert("train", "--config", root / "run.cfg", "--data", tmp_path / "empty",

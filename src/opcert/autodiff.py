@@ -6,6 +6,13 @@ once in reverse topological order and accumulates into Parameter.grad.
 Values are float64 ndarrays with an explicit batch-first layout where the
 ops say so; there is no implicit broadcasting between two nodes.
 
+backward() uses the graph up as it goes: once a node has passed its
+gradients to its parents, it drops its parents and closures, so the
+arrays they kept are freed during the backward even while the caller
+still holds the loss or the output node. Node values stay readable. A
+later backward that reaches a used node raises GraphError, since its
+gradients would stop there.
+
 The wavelet ops act on the coarsest approximation only. `dwt1d` returns
 A v for the level-L approximation analysis A of `wavelet.lowpass_pair`
 (its backward is A^T g), `idwt1d` is the matching synthesis, and
@@ -419,6 +426,8 @@ def _topological(loss: Node):
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise GraphError("backward already ran through this graph")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -428,18 +437,20 @@ def _topological(loss: Node):
 
 
 def backward(loss: Node):
-    """Accumulate d(loss)/d(param) into every reachable Parameter.grad."""
+    """Accumulate d(loss)/d(param) into every reachable Parameter.grad.
+
+    Uses up the graph: every node it passes drops its parents and
+    gradient closures (its value stays), and a second backward through
+    any of them raises GraphError. Leaves (parameters, constants) stay
+    reusable.
+    """
     if loss.value.shape not in ((), (1,)):
         raise GraphError(f"loss must be scalar, got shape {loss.value.shape}")
-    if loss._consumed:
-        raise GraphError("backward already ran on this graph")
-    loss._consumed = True
     order = _topological(loss)
     grads = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+    while order:
+        node = order.pop()
+        g = grads.pop(id(node))
         if isinstance(node, Parameter):
             node.grad += g
             continue
@@ -450,6 +461,9 @@ def backward(loss: Node):
                 grads[key] = grads[key] + contrib
             else:
                 grads[key] = contrib
+        if node.parents:
+            node.parents = node.grad_fns = ()
+            node._consumed = True
 
 
 def grad_check(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -157,13 +158,18 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
+def _write_csv(path, rows):
+    """Write rows as UTF-8 CSV through `sio.replacing`."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    with sio.replacing(path) as fh:
+        fh.write(text.getvalue().encode("utf-8"))
+
+
 def _write_traces(path, traces):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member", "epoch", "loss"])
-        for m, trace in enumerate(traces):
-            for e, value in enumerate(trace):
-                writer.writerow([m, e, repr(value)])
+    _write_csv(path, [["member", "epoch", "loss"]] + [
+        [m, e, repr(value)] for m, trace in enumerate(traces) for e, value in enumerate(trace)
+    ])
 
 
 def cmd_train(args) -> int:
@@ -250,26 +256,24 @@ def _coverage_csv(path, grid, calibrated, uncalibrated, nmse, target):
         coords = normalized_coordinates(grid)
     except GridError:
         pass
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        coord_cols = [f"coord_{i}" for i in range(grid.dims)]
-        writer.writerow(["row_type", "location", *coord_cols, "coverage_calibrated",
-                         "coverage_uncalibrated", "below_target"])
-        cal = calibrated.per_location.ravel()
-        unc = uncalibrated.per_location.ravel()
-        for i in range(cal.size):
-            xy = [repr(float(c)) for c in coords[i]] if coords is not None else [""] * grid.dims
-            writer.writerow(
-                ["location", i, *xy, repr(float(cal[i])), repr(float(unc[i])),
-                 int(cal[i] < target)]
-            )
-        for name, rep in (("calibrated", calibrated), ("uncalibrated", uncalibrated)):
-            s = rep.summary()
-            writer.writerow(
-                ["summary", name, repr(s["average"]), repr(s["min"]), repr(s["max"]),
-                 s["below_target"], s["at_or_above_target"]]
-            )
-        writer.writerow(["nmse_percent", repr(nmse)])
+    coord_cols = [f"coord_{i}" for i in range(grid.dims)]
+    rows = [["row_type", "location", *coord_cols, "coverage_calibrated",
+             "coverage_uncalibrated", "below_target"]]
+    cal = calibrated.per_location.ravel()
+    unc = uncalibrated.per_location.ravel()
+    for i in range(cal.size):
+        xy = [repr(float(c)) for c in coords[i]] if coords is not None else [""] * grid.dims
+        rows.append(
+            ["location", i, *xy, repr(float(cal[i])), repr(float(unc[i])), int(cal[i] < target)]
+        )
+    for name, rep in (("calibrated", calibrated), ("uncalibrated", uncalibrated)):
+        s = rep.summary()
+        rows.append(
+            ["summary", name, repr(s["average"]), repr(s["min"]), repr(s["max"]),
+             s["below_target"], s["at_or_above_target"]]
+        )
+    rows.append(["nmse_percent", repr(nmse)])
+    _write_csv(path, rows)
 
 
 def nmse_percent(truths: np.ndarray, preds: np.ndarray) -> float:
@@ -353,11 +357,9 @@ def cmd_spiking_report(args) -> int:
     for member in model.members:
         per_member.append(no.spiking_activity(member.trainable, test_in))
     activity = np.mean(per_member, axis=0)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "activity_percent"])
-        for i, pct in enumerate(activity):
-            writer.writerow([i, repr(float(pct))])
+    _write_csv(args.out, [["site", "activity_percent"]] + [
+        [i, repr(float(pct))] for i, pct in enumerate(activity)
+    ])
     print("spiking activity per site:", ", ".join(f"{p:.2f}%" for p in activity))
     return 0
 

@@ -14,7 +14,10 @@ prior residual targets there. Training takes one member at a time, and
 each of its steps runs on both cores (`neuralop.train`, through
 `core.halves`). Training the members side by side on the pool was about
 as fast, but every member's graph and Adam state were then live at once,
-and peak memory grew by two thirds (darcy-32, 287 -> 484 MB).
+and peak memory grew by two thirds (darcy-32, 287 -> 484 MB). Each
+member there also kept its previous step's graph until its next forward
+returned. `ad.backward` now frees that graph, and the pool still needs
+two thirds more (darcy-32, 217 -> 367 MB).
 """
 
 from __future__ import annotations

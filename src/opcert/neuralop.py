@@ -461,7 +461,8 @@ def train(
     Each step runs on both cores: the forward and backward split their
     per-sample work over `core.halves`, with every OpenBLAS at one thread
     for the whole loop (`core.one_blas_thread`). The split does not
-    change any result.
+    change any result. One step's graph is live at a time: `ad.backward`
+    frees a step's graph as it goes, before the next forward builds one.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

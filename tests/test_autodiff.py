@@ -1,5 +1,6 @@
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -84,6 +85,34 @@ class TestBasicOps:
         ad.backward(loss)
         with pytest.raises(ad.GraphError):
             ad.backward(loss)
+
+    def test_backward_frees_the_graph_it_used(self):
+        # the arrays the closures kept go during the backward, though the
+        # caller still holds the loss
+        gen = np.random.default_rng(7)
+        w = ad.Parameter(gen.standard_normal((3, 4)), "w")
+        b = ad.Parameter(gen.standard_normal(4), "b")
+        h = ad.affine(ad.constant(gen.standard_normal((2, 5, 3))), w, b)
+        kept = weakref.ref(h.value)
+        loss = ad.mean_all(ad.mul(ad.gelu(h), ad.constant(gen.standard_normal((2, 5, 4)))))
+        value = float(loss.value)
+        del h
+        ad.backward(loss)
+        assert kept() is None
+        assert float(loss.value) == value
+        with pytest.raises(ad.GraphError):
+            ad.backward(loss)
+
+    def test_backward_through_a_used_node_raises(self):
+        # its parents are gone, so a second loss on it would get no gradient
+        x = ad.Parameter(np.array([1.0, -2.0, 3.0]), "x")
+        h = ad.mul(x, x)
+        ad.backward(ad.sum_all(h))
+        with pytest.raises(ad.GraphError):
+            ad.backward(ad.mean_all(h))
+        x.zero_grad()
+        ad.backward(ad.sum_all(ad.mul(x, x)))
+        assert np.array_equal(x.grad, 2.0 * x.value)
 
     def test_sum_per_sample_and_dot(self):
         x = ad.Parameter(np.arange(6.0).reshape(2, 3), "x")

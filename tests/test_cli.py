@@ -95,6 +95,20 @@ def test_evaluate_writes_coverage(root, model, tmp_path):
     assert rows[-1][0] == "nmse_percent"
 
 
+def test_failed_coverage_write_keeps_the_previous_file(root, tmp_path, monkeypatch):
+    out = tmp_path / "coverage.csv"
+    argv = ("evaluate", "--ckpt", root / "rp-wno", "--qfield", root / "rp-wno" / "q.qfield",
+            "--data", root / "data", "--out", out)
+    assert opcert(*argv) == 0
+    before = out.read_bytes()
+    # too few coordinate rows: the CSV fails after its header row
+    monkeypatch.setattr(cli, "normalized_coordinates", lambda grid: np.zeros((3, grid.dims)))
+    with pytest.raises(IndexError):
+        opcert(*argv)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"]
+
+
 def test_superres_transfers_to_finer_grid(root, tmp_path):
     out = tmp_path / "coverage_hi.csv"
     assert opcert("superres", "--ckpt", root / "rp-wno", "--qfield", root / "rp-wno" / "q.qfield",

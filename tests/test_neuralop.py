@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,26 @@ class TestTraining:
         y = np.full((2, 64), np.nan)
         with pytest.raises(no.TrainingDiverged, match="epoch 0"):
             no.train(model, x, y, no.LossConfig("l2"), 1, 2, SeededRng(35))
+
+    def test_one_step_graph_live_at_a_time(self):
+        # two steps peak no higher than one: the backward frees step i's
+        # graph before step i + 1 builds its own
+        cfg = no.WnoConfig(grid=GridSpec((1024,)))
+        gen = SeededRng(42).generator()
+        x = gen.standard_normal((16, 1024))
+        y = 0.5 * x
+
+        def peak(count):
+            model = no.WnoModel.initialize(cfg, SeededRng(43))
+            tracemalloc.start()
+            try:
+                no.train(model, x[:count], y[:count], no.LossConfig("l2"), 1, 8, SeededRng(44))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(8), peak(16)
+        assert two <= 1.05 * one, (one, two)
 
 
 class TestTrainingBlasThreads:

@@ -6,12 +6,21 @@ once in reverse topological order and accumulates into Parameter.grad.
 Values are float64 ndarrays with an explicit batch-first layout where the
 ops say so; there is no implicit broadcasting between two nodes.
 
-backward() uses the graph up as it goes: once a node has passed its
-gradients to its parents, it drops its parents and closures, so the
-arrays they kept are freed during the backward even while the caller
-still holds the loss or the output node. Node values stay readable. A
-later backward that reaches a used node raises GraphError, since its
-gradients would stop there.
+backward() uses the graph up as it goes: a node drops its parents and
+closures, then runs the closures last parent first and frees each once it
+has run. What a closure kept is thus freed during the backward, even while
+the caller still holds the loss or the output node; in `affine`, the
+weight gradient frees the input it read before the input gradient
+allocates an array of that size. A later backward that reaches a used
+node raises GraphError, since its gradients would stop there.
+
+A node's own value stays until release() drops it. Forward code releases
+a node once its last consumer is built, so that a step holds only the
+arrays some closure reads, each for as long as that closure lives.
+Reading a released value raises GraphError; every other value stays
+readable after the backward (in the operator: the output, the loss and
+the spike gates). gelu's closure writes its gradient over the cdf it
+keeps, so it runs once, and a second call raises GraphError.
 
 The wavelet ops act on the coarsest approximation only. `dwt1d` returns
 A v for the level-L approximation analysis A of `wavelet.lowpass_pair`
@@ -24,11 +33,11 @@ it separably along H and W.
 
 gelu keeps only its cdf from the forward and forms the derivative inside
 its gradient closure, so a forward that is never differentiated pays for
-no exp and holds no derivative array. Its kernels work in place on
-preallocated outputs: the forward fills cdf and x * cdf, the backward
-fills g * (cdf + x * pdf) in one buffer. Each element goes through the
-same ufuncs in the same order as the one-shot formula, so the results
-are bitwise equal to it.
+no exp and holds no derivative array. Its kernels work in place: the
+forward fills new cdf and x * cdf arrays, the backward writes
+g * (cdf + x * pdf) over cdf through a small per-block temporary. Each
+element goes through the same ufuncs in the same order as the one-shot
+formula, so the results are bitwise equal to it.
 
 The per-sample work of a step runs on two cores through `core.halves`:
 the gelu kernels over flat halves of their arrays, and the matmuls of
@@ -68,13 +77,23 @@ class GraphError(ValueError):
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "parents", "grad_fns", "_consumed")
+    __slots__ = ("_value", "parents", "grad_fns", "_consumed")
 
     def __init__(self, value, parents=(), grad_fns=()):
-        self.value = np.asarray(value, dtype=np.float64)
+        self._value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
         self.grad_fns = tuple(grad_fns)
         self._consumed = False
+
+    @property
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            raise GraphError("this node's value was released")
+        return self._value
+
+    @value.setter
+    def value(self, value):
+        self._value = value
 
 
 class Parameter(Node):
@@ -93,6 +112,16 @@ class Parameter(Node):
 
 def constant(value) -> Node:
     return Node(value)
+
+
+def release(*nodes):
+    """Drop the nodes' values; reading one afterwards raises GraphError.
+
+    A gradient closure holds its own reference to what it reads, so a
+    released array lives only as long as the closures that read it.
+    """
+    for node in nodes:
+        node._value = None
 
 
 def _check_same(a: Node, b: Node, op: str):
@@ -187,6 +216,9 @@ def layer_sum(a: Node, b: Node, bias: Node) -> Node:
 #   cdf = 0.5 * (1 + erf(x / sqrt2)),   value = x * cdf,
 #   g * (cdf + x * (c * exp((-0.5 * x) * x))),   c = 1 / sqrt(2 pi).
 # Both run over flat halves of their arrays.
+_GELU_BLOCK = 2**16  # elements of the slope kernel's per-block temporary
+
+
 def _gelu_cdf_value(x: np.ndarray):
     """(cdf, x * cdf) of the erf-based gelu."""
     cdf, value = np.empty(x.shape), np.empty(x.shape)
@@ -204,23 +236,28 @@ def _gelu_cdf_value(x: np.ndarray):
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
-    """gelu'(x) from the kept cdf, times g when given."""
-    out = np.empty(x.shape)
-    xf, cf, of = np.ravel(x), np.ravel(cdf), out.reshape(-1)
+    """gelu'(x), times g when given, written over cdf and returned.
+
+    The exp term goes through a temporary of at most _GELU_BLOCK elements.
+    """
+    xf, cf = np.ravel(x), cdf.reshape(-1)
     gf = None if g is None else np.ravel(g)
 
     def kernel(s):
-        o = np.multiply(xf[s], -0.5, out=of[s])
-        o *= xf[s]
-        np.exp(o, out=o)
-        o *= _INV_SQRT_2PI
-        o *= xf[s]
-        o += cf[s]
-        if gf is not None:
-            o *= gf[s]
+        tmp = np.empty(min(_GELU_BLOCK, s.stop - s.start))
+        for lo in range(s.start, s.stop, _GELU_BLOCK):
+            b = slice(lo, min(lo + _GELU_BLOCK, s.stop))
+            t = np.multiply(xf[b], -0.5, out=tmp[: b.stop - lo])
+            t *= xf[b]
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= xf[b]
+            cf[b] += t
+            if gf is not None:
+                cf[b] *= gf[b]
 
     halves(kernel, xf.size)
-    return out
+    return cdf
 
 
 def gelu_value_grad(x: np.ndarray):
@@ -231,10 +268,22 @@ def gelu_value_grad(x: np.ndarray):
 
 
 def gelu(x: Node) -> Node:
-    """gelu; the derivative is formed only if the backward runs."""
+    """gelu; the derivative is formed only if the backward runs.
+
+    The gradient closure writes over the cdf it keeps, so it runs once; a
+    second call raises GraphError.
+    """
     xv = x.value
     cdf, value = _gelu_cdf_value(xv)
-    return Node(value, (x,), (lambda g: _gelu_slope(xv, cdf, g),))
+
+    def grad(g):
+        nonlocal cdf
+        if cdf is None:
+            raise GraphError("gelu's gradient was already formed over its kept cdf")
+        slope, cdf = _gelu_slope(xv, cdf, g), None
+        return slope
+
+    return Node(value, (x,), (grad,))
 
 
 def reshape(x: Node, shape) -> Node:
@@ -370,12 +419,6 @@ def wavelet_scale(a: Node, r: Node) -> Node:
 # --- spiking activation -----------------------------------------------------
 
 
-def logistic_spike_grad(m, threshold, slope: float):
-    """Surrogate derivative of the threshold: k * s * (1 - s), s = expit(k(m - th))."""
-    s = expit(slope * (np.asarray(m) - threshold))
-    return slope * s * (1.0 - s)
-
-
 def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
     """Threshold-gated activation on (..., C) fields, single time step.
 
@@ -440,9 +483,10 @@ def backward(loss: Node):
     """Accumulate d(loss)/d(param) into every reachable Parameter.grad.
 
     Uses up the graph: every node it passes drops its parents and
-    gradient closures (its value stays), and a second backward through
-    any of them raises GraphError. Leaves (parameters, constants) stay
-    reusable.
+    gradient closures, runs the closures last parent first and frees each
+    once it has run. Its value stays unless it was released. A second
+    backward through any of them raises GraphError. Leaves (parameters,
+    constants) stay reusable.
     """
     if loss.value.shape not in ((), (1,)):
         raise GraphError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -454,16 +498,17 @@ def backward(loss: Node):
         if isinstance(node, Parameter):
             node.grad += g
             continue
-        for parent, fn in zip(node.parents, node.grad_fns):
-            contrib = fn(g)
-            key = id(parent)
+        parents, fns = node.parents, list(node.grad_fns)
+        if parents:
+            node.parents = node.grad_fns = ()
+            node._consumed = True
+        while fns:  # last parent first; each closure is freed once it has run
+            contrib = fns.pop()(g)
+            key = id(parents[len(fns)])
             if key in grads:
                 grads[key] = grads[key] + contrib
             else:
                 grads[key] = contrib
-        if node.parents:
-            node.parents = node.grad_fns = ()
-            node._consumed = True
 
 
 def grad_check(

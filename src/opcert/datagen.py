@@ -140,14 +140,6 @@ def sample_grf(spec: GrfSpec, rng: SeededRng, grid: GridSpec) -> np.ndarray:
     return grf_evaluate(spec, coeff, pts)
 
 
-def grf_pointwise_variance(spec: GrfSpec) -> float:
-    """Stationary pointwise variance implied by the retained spectrum (1D)."""
-    if spec.dims != 1:
-        raise ValueError("defined for the periodic 1D law")
-    kk = np.arange(1, spec.mode_count)
-    return float(spec.eigenvalue([[0.0]])[0]) + 2.0 * float(np.sum(spec.eigenvalue(kk[:, None])))
-
-
 # --------------------------------------------------------------------------
 # viscous transport (periodic, spectral in space)
 # --------------------------------------------------------------------------

@@ -185,7 +185,10 @@ class WnoModel:
 
         inputs: (B, N) for 1D or (B, H, W) for 2D, in physical units.
         Returns (output node (B, N, 1) in normalized units, spike gate
-        nodes per layer; empty for continuous activations).
+        nodes per layer; empty for continuous activations). Interior
+        values that no gradient closure reads are released as soon as
+        their consumers are built (`ad.release`): each layer's synthesis,
+        skip-sum and 1x1-conv outputs, and the projection's hidden values.
         """
         cfg = self.config
         x = np.asarray(inputs, dtype=np.float64)
@@ -210,6 +213,7 @@ class WnoModel:
             k = _wavelet_kernel(v, self.params[f"layer{i}.r"], filt, levels, spatial)
             w = ad.conv1x1(v, self.params[f"layer{i}.k"])
             z = ad.layer_sum(k, w, self.params[f"layer{i}.b"])
+            ad.release(k, w)
             if cfg.activation == "gelu":
                 v = ad.gelu(z)
             elif cfg.activation == "identity":
@@ -217,10 +221,10 @@ class WnoModel:
             else:
                 v, gate = ad.vsn(z, self.params[f"layer{i}.th"], slope=cfg.surrogate_slope)
                 gates.append(gate)
-        h = ad.affine(v, self.params["proj1.w"], self.params["proj1.b"])
-        if cfg.activation != "identity":
-            h = ad.gelu(h)
+        h1 = ad.affine(v, self.params["proj1.w"], self.params["proj1.b"])
+        h = h1 if cfg.activation == "identity" else ad.gelu(h1)
         out = ad.affine(h, self.params["proj2.w"], self.params["proj2.b"])
+        ad.release(h1, h)
         return out, gates
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -255,9 +259,13 @@ def _wavelet_kernel(v: ad.Node, r: ad.Node, filt: wv.WaveletFilter, levels: int,
     """Wavelet part of a layer on (B, prod(spatial), C): v + A^T ((A v)(r - I))."""
     if len(spatial) == 1:
         a = ad.wavelet_scale(ad.dwt1d(v, filt, levels), r)
-        return ad.add(v, ad.idwt1d(a, filt, levels, spatial[0]))
-    a = ad.wavelet_scale(ad.dwt2d(v, filt, levels, spatial), r)
-    return ad.add(v, ad.idwt2d(a, filt, levels, spatial))
+        synthesis = ad.idwt1d(a, filt, levels, spatial[0])
+    else:
+        a = ad.wavelet_scale(ad.dwt2d(v, filt, levels, spatial), r)
+        synthesis = ad.idwt2d(a, filt, levels, spatial)
+    k = ad.add(v, synthesis)
+    ad.release(synthesis)
+    return k
 
 
 # --------------------------------------------------------------------------
@@ -296,20 +304,6 @@ class LossConfig:
             raise ValueError(f"pinball quantile must lie in (0,1), got {self.eta}")
         if self.alpha_w < 0 or self.beta_w < 0:
             raise ValueError("loss weights must be non-negative")
-
-
-def loss_pinball(pred: np.ndarray, truth: np.ndarray, eta: float) -> float:
-    """Normwise quantile loss: eta-weighted when ||truth|| >= ||pred||."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"quantile must lie in (0,1), got {eta}")
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    # Python-float norms: on short vectors numpy's per-call overhead dominates
-    p, t = pred.ravel().tolist(), truth.ravel().tolist()
-    w = eta if math.hypot(*t) >= math.hypot(*p) else 1.0 - eta
-    return w * math.dist(t, p)
 
 
 def _loss_node(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig) -> ad.Node:
@@ -463,6 +457,10 @@ def train(
     for the whole loop (`core.one_blas_thread`). The split does not
     change any result. One step's graph is live at a time: `ad.backward`
     frees a step's graph as it goes, before the next forward builds one.
+    A step keeps only what its backward reads (`forward_nodes` releases
+    the rest), so at its peak, the projection's gelu backward, it holds
+    three (B, N, proj_hidden) arrays: that gelu's input, the cdf its
+    gradient is written over and the incoming gradient.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

@@ -114,6 +114,43 @@ class TestBasicOps:
         ad.backward(ad.sum_all(ad.mul(x, x)))
         assert np.array_equal(x.grad, 2.0 * x.value)
 
+    def test_gelu_gradient_runs_once(self):
+        # it is written over the kept cdf, so a second call has nothing to use
+        x, g = np.linspace(-3.0, 3.0, 7), np.full(7, 2.0)
+        node = ad.gelu(ad.constant(x))
+        assert np.array_equal(node.grad_fns[0](g), g * ad.gelu_value_grad(x)[1])
+        with pytest.raises(ad.GraphError):
+            node.grad_fns[0](g)
+
+    def test_released_value_raises_and_gradients_flow(self):
+        x = ad.Parameter(np.array([1.0, -2.0, 3.0]), "x")
+        h = ad.mul(x, x)
+        loss = ad.sum_all(h)
+        ad.release(h)
+        with pytest.raises(ad.GraphError):
+            h.value
+        with pytest.raises(ad.GraphError):
+            ad.mean_all(h)
+        ad.backward(loss)
+        assert np.array_equal(x.grad, 2.0 * x.value)
+
+    def test_kept_input_freed_before_the_input_gradient(self):
+        # last parent first: the weight gradient drops the input it kept
+        # before the input gradient allocates its own array
+        gen = np.random.default_rng(8)
+        x = ad.affine(ad.constant(gen.standard_normal((2, 5, 3))),
+                      ad.constant(np.ones((3, 4))), ad.constant(np.zeros(4)))
+        out = ad.affine(x, ad.Parameter(gen.standard_normal((4, 2)), "w"),
+                        ad.Parameter(np.zeros(2), "b"))
+        kept = weakref.ref(x.value)
+        ad.release(x)
+        freed = []
+        input_grad = out.grad_fns[0]
+        out.grad_fns = (lambda g: (freed.append(kept() is None), input_grad(g))[1],
+                        *out.grad_fns[1:])
+        ad.backward(ad.sum_all(out))
+        assert freed == [True]
+
     def test_sum_per_sample_and_dot(self):
         x = ad.Parameter(np.arange(6.0).reshape(2, 3), "x")
         per = ad.sum_per_sample(x)
@@ -253,15 +290,18 @@ class TestVsnOp:
         assert max(errors.values()) < 1e-4
 
     def test_surrogate_derivative_values(self):
+        # the gate's gradient is the logistic surrogate k s (1 - s), s = expit(k(m - th))
+        m = np.array([[1.0, 10.0, 0.1]])
+        _, gate = ad.vsn(ad.constant(m), ad.constant(np.array([1.0, 0.0, 0.0])), slope=10.0)
+        surr = gate.grad_fns[0](np.ones_like(m))[0]
         # logistic derivative peak k/4 at the threshold
-        assert abs(ad.logistic_spike_grad(1.0, 1.0, 10.0) - 2.5) < 1e-12
+        assert abs(surr[0] - 2.5) < 1e-12
         # saturation far from the threshold
-        assert ad.logistic_spike_grad(10.0, 0.0, 10.0) < 1e-10
+        assert surr[1] < 1e-10
         # k=10 at distance 0.1: 10 * s(1) * (1 - s(1))
         s1 = expit(1.0)
-        got = ad.logistic_spike_grad(0.1, 0.0, 10.0)
-        assert abs(got - 10.0 * s1 * (1 - s1)) < 1e-12
-        assert abs(got - 1.9661) < 1e-3
+        assert abs(surr[2] - 10.0 * s1 * (1 - s1)) < 1e-12
+        assert abs(surr[2] - 1.9661) < 1e-3
 
 
 class TestGradCheck:

@@ -288,3 +288,21 @@ class TestExchangeabilityGuarantee:
             hits += row[19] <= q
         coverage = hits / trials
         assert abs(coverage - 0.95) < 0.01
+
+    def test_resplit_coverage_is_k_over_n_plus_1(self):
+        # Each location keeps one fixed pool of distinct scores. A uniform
+        # calibration/test re-split makes a test score's rank among itself
+        # and the n calibration scores uniform, so the band [0, q] covers it
+        # with probability exactly k/(n+1), k = ceil((1-alpha)(n+1)).
+        n, m, alpha, locations, splits = 20, 20, 0.05, 10, 2000
+        gen = SeededRng(24).generator()
+        pool = np.abs(gen.standard_normal((locations, n + m)))
+        order = np.argsort(gen.random((splits, locations, n + m)), axis=-1)
+        shuffled = np.take_along_axis(np.broadcast_to(pool, order.shape), order, axis=-1)
+        q = cf.conformal_quantile(np.moveaxis(shuffled[..., :n], -1, 0), alpha)
+        per_split = np.mean(shuffled[..., n:] <= q[..., None], axis=-1)
+        p = 20 / 21  # k = ceil(0.95 * 21) = 20
+        # split-locations are independent and each mean over m test points
+        # varies at most as one Bernoulli(p) draw: 4 binomial standard errors
+        tol = 4.0 * np.sqrt(p * (1.0 - p) / per_split.size)
+        assert abs(per_split.mean() - p) < tol, (per_split.mean(), p, tol)

@@ -51,7 +51,8 @@ class TestGrfLaw:
             lam(k) * np.cos(2 * np.pi * k * (xa - xb))
             for k in range(1, spec.mode_count)
         )
-        assert abs(mc - expected) < 0.05 * dg.grf_pointwise_variance(spec)
+        variance = lam(0) + 2 * sum(lam(k) for k in range(1, spec.mode_count))
+        assert abs(mc - expected) < 0.05 * variance
 
     def test_resolution_consistent_sampling(self):
         # the same draw evaluated at nested grids agrees on shared points

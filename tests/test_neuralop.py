@@ -178,8 +178,10 @@ class TestVsnForward:
                     assert out.value[b, c] == pytest.approx(float(ref), abs=0.0)
 
     def test_surrogate_grad_contract(self):
-        assert ad.logistic_spike_grad(1.0, 1.0, 10.0) == pytest.approx(2.5)
-        assert ad.logistic_spike_grad(0.1, 0.0, 10.0) == pytest.approx(1.9661, abs=1e-3)
+        _, gate = ad.vsn(ad.constant(np.array([[1.0, 0.1]])), ad.constant(np.array([1.0, 0.0])))
+        surr = gate.grad_fns[0](np.ones((1, 2)))[0]
+        assert surr[0] == pytest.approx(2.5)
+        assert surr[1] == pytest.approx(1.9661, abs=1e-3)
         with pytest.raises(ValueError):
             small_config(activation="vsn", surrogate_slope=-1.0)
 
@@ -215,22 +217,39 @@ class TestSpikingActivity:
             no.spiking_activity(model, np.zeros((1, 64)))
 
 
+def pinball_oracle(pred, truth, eta):
+    """Normwise quantile loss of one sample: eta-weighted when ||truth|| >= ||pred||."""
+    w = eta if np.linalg.norm(truth) >= np.linalg.norm(pred) else 1.0 - eta
+    return w * np.linalg.norm(truth - pred)
+
+
+def pinball_loss(pred, truth, eta):
+    """The training loss of (B, n) predictions: the batch mean of the per-sample loss."""
+    node = no._loss_node(ad.constant(pred[..., None]), [], truth, no.LossConfig("pinball", eta))
+    return float(node.value)
+
+
 class TestLosses:
     def test_pinball_half_is_half_gap_norm(self):
         gen = SeededRng(20).generator()
-        y, p = gen.standard_normal(32), gen.standard_normal(32)
+        y, p = gen.standard_normal((2, 1, 32))
         expected = 0.5 * np.linalg.norm(y - p)
-        assert no.loss_pinball(p, y, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert pinball_loss(p, y, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_pinball_branches(self):
-        y = np.array([2.0])  # \|y\| > \|p\|
-        p = np.array([1.0])
-        assert no.loss_pinball(p, y, 0.9) == pytest.approx(0.9)
-        assert no.loss_pinball(y, p, 0.9) == pytest.approx(0.1)
+        y = np.array([[2.0]])  # \|y\| > \|p\|
+        p = np.array([[1.0]])
+        assert pinball_loss(p, y, 0.9) == pytest.approx(0.9)
+        assert pinball_loss(y, p, 0.9) == pytest.approx(0.1)
+        # a batch weights each sample by its own branch
+        gen = SeededRng(22).generator()
+        y, p = gen.standard_normal((2, 6, 16))
+        expected = np.mean([pinball_oracle(a, b, 0.9) for a, b in zip(p, y)])
+        assert pinball_loss(p, y, 0.9) == pytest.approx(expected, rel=1e-12)
 
     def test_pinball_rejects_bad_quantile(self):
         with pytest.raises(ValueError):
-            no.loss_pinball(np.ones(2), np.ones(2), 1.5)
+            no.LossConfig("pinball", eta=1.5)
 
     def test_slf_reduces_to_base(self):
         # the training objective: alpha * mse + beta * mean spike rate
@@ -259,10 +278,7 @@ class TestLosses:
         gen = SeededRng(21).generator()
         draws = gen.uniform(1.0, 3.0, 1000)
         order = np.sort(draws)
-        losses = [
-            sum(no.loss_pinball(np.array([c]), np.array([y]), eta) for y in draws)
-            for c in order
-        ]
+        losses = [pinball_loss(np.full((1000, 1), c), draws[:, None], eta) for c in order]
         c_star = order[int(np.argmin(losses))]
         k = int(np.ceil(eta * 1000)) - 1
         k = min(max(k, 0), 999)
@@ -366,6 +382,48 @@ class TestTraining:
 
         one, two = peak(8), peak(16)
         assert two <= 1.05 * one, (one, two)
+
+
+class TestStepMemory:
+    """A training step keeps only the arrays that its gradient closures read."""
+
+    @pytest.mark.parametrize("spatial", [(32, 32), (1024,)])
+    def test_step_peaks_below_five_hidden_arrays(self, spatial):
+        # at the projection's gelu backward the step holds that gelu's input,
+        # the cdf its gradient is written over and the incoming gradient
+        model = no.WnoModel.initialize(no.WnoConfig(grid=GridSpec(spatial)), SeededRng(60))
+        x, y = SeededRng(61).generator().standard_normal((2, 4) + spatial)
+
+        def step():
+            model.zero_grads()
+            pred, gates = model.forward_nodes(x)
+            ad.backward(no._loss_node(pred, gates, y, no.LossConfig("l2")))
+
+        step()  # builds the cached wavelet pairs outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        hidden = x.size * model.config.proj_hidden * 8
+        assert peak < 5 * hidden, peak / hidden
+
+    def test_outputs_stay_readable_and_interior_values_raise(self):
+        model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(62))
+        x, y = SeededRng(63).generator().standard_normal((2, 3, 64))
+        pred, gates = model.forward_nodes(x)
+        loss = no._loss_node(pred, gates, y, no.LossConfig("slf", beta_w=0.1))
+        projection_gelu = pred.parents[0]
+        proj1 = projection_gelu.parents[0]
+        want = [pred.value.copy(), float(loss.value)] + [g.value.copy() for g in gates]
+        ad.backward(loss)
+        got = [pred.value, float(loss.value)] + [g.value for g in gates]
+        assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, want))
+        for node in (projection_gelu, proj1):
+            with pytest.raises(ad.GraphError):
+                node.value
 
 
 class TestTrainingBlasThreads:

@@ -286,11 +286,6 @@ def gelu(x: Node) -> Node:
     return Node(value, (x,), (grad,))
 
 
-def reshape(x: Node, shape) -> Node:
-    old = x.value.shape
-    return Node(x.value.reshape(shape), (x,), (lambda g: g.reshape(old),))
-
-
 def sum_all(x: Node) -> Node:
     shape = x.value.shape
     return Node(np.sum(x.value), (x,), (lambda g: np.full(shape, float(g)),))

@@ -4,9 +4,9 @@ evaluation, resolution transfer, and spike activity reporting.
 Configuration is plain `key = value` text with a default for every key and
 rejection of unknown keys; the fully resolved configuration is echoed into
 the run manifest next to each artifact. Exit codes: 2 configuration,
-3 I/O, 4 diverged training, 5 grid/shape mismatch, 6 field-transport
-failure, 7 spiking report on a non-spiking checkpoint, 8 a failed
-data-generation solve (no dataset file is written then).
+3 I/O, 4 diverged training, 5 grid/shape mismatch, 6 a q field with an
+infinite value (no transport), 7 spiking report on a non-spiking
+checkpoint, 8 a failed data-generation solve (no dataset file written).
 
 Each command runs in a process of its own, so `main` first tells the C
 allocator to keep freed memory: it raises glibc's mmap threshold to its
@@ -287,7 +287,7 @@ def _evaluate_rp(ensemble, qf, test_in, test_out, z_uncal):
     mean, spread = ens.rp_predict(ensemble, test_in)
     target = (1.0 - qf.alpha) * 100.0
     return (
-        cf.coverage_eval(cf.band(mean, spread, qf, z=qf.z), test_out, target),
+        cf.coverage_eval(cf.band(mean, spread, qf), test_out, target),
         cf.coverage_eval(ens.initial_band(mean, spread, z=z_uncal), test_out, target),
         nmse_percent(test_out, mean),
     )

@@ -27,7 +27,6 @@ class QField:
     values: np.ndarray
     grid: GridSpec
     alpha: float
-    z: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,10 +36,6 @@ class QField:
             )
         if np.any(self.values < 0):
             raise ValueError("conformal parameters must be non-negative")
-
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 @dataclass
@@ -174,8 +169,8 @@ def _check_stack(context: str, qfield: QField, *fields):
         raise ShapeError(f"{context} shapes differ: {[np.shape(f) for f in fields]}, {grid}")
 
 
-def band(mean: np.ndarray, spread: np.ndarray, qfield: QField, z: float = 1.0) -> Band:
-    """Calibrated band [mean - z*q*spread, mean + z*q*spread].
+def band(mean: np.ndarray, spread: np.ndarray, qfield: QField) -> Band:
+    """Calibrated band [mean - q*spread, mean + q*spread].
 
     mean and spread are one grid field or a (B, *grid) stack; q is shared
     by every sample of the stack.
@@ -184,7 +179,7 @@ def band(mean: np.ndarray, spread: np.ndarray, qfield: QField, z: float = 1.0) -
     spread = np.asarray(spread, dtype=np.float64)
     _check_stack("band", qfield, mean, spread)
     with np.errstate(invalid="ignore"):
-        half = z * qfield.values * spread
+        half = qfield.values * spread
         # inf * 0 spread: a degenerate location with infinite q covers everything
         half = np.where(np.isnan(half), np.inf, half)
     return Band(mean - half, mean + half)
@@ -244,7 +239,7 @@ def save_qfield(qfield: QField, path):
     with sio.replacing(path) as fh:
         sio.start_file(fh, sio.QFIELD_MAGIC)
         sio.write_grid(fh, qfield.grid)
-        sio.write_f64(fh, qfield.alpha, qfield.z)
+        sio.write_f64(fh, qfield.alpha)
         sio.write_array(fh, qfield.values)
 
 
@@ -252,6 +247,6 @@ def load_qfield(path) -> QField:
     with open(path, "rb") as fh:
         sio.check_magic(fh, sio.QFIELD_MAGIC)
         grid = sio.read_grid(fh)
-        alpha, z = sio.read_f64(fh, 2)
+        alpha = sio.read_f64(fh)
         values = sio.read_array(fh)
-    return QField(values, grid, alpha, z)
+    return QField(values, grid, alpha)

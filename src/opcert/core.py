@@ -82,22 +82,23 @@ class GridSpec:
         return int(np.prod(self.resolution))
 
 
-def normalized_coordinates(grid: GridSpec) -> np.ndarray:
-    """Coordinates of all grid points in [0,1]^dims, lexicographic rows.
-
-    Returns an (N, dims) array; along each dimension the coordinate of
-    point i is i/(resolution-1). Resolutions below 2 are rejected because
-    a single point has no well-defined normalized position.
-    """
+def normalized_axes(grid: GridSpec) -> list[np.ndarray]:
+    """Per-dimension coordinates i/(resolution-1) in [0,1]; needs resolution >= 2."""
     if any(r < 2 for r in grid.resolution):
         raise GridError(
             f"normalized coordinates need >= 2 points per dim, got {grid.resolution}"
         )
-    axes = [np.linspace(0.0, 1.0, r) for r in grid.resolution]
-    if grid.dims == 1:
-        return axes[0][:, None].copy()
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return [np.linspace(0.0, 1.0, r) for r in grid.resolution]
+
+
+def coordinate_rows(axes) -> np.ndarray:
+    """(N, dims) coordinates of the tensor grid over `axes`, lexicographic rows."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def normalized_coordinates(grid: GridSpec) -> np.ndarray:
+    """Coordinates of all grid points in [0,1]^dims (`normalized_axes`), lexicographic rows."""
+    return coordinate_rows(normalized_axes(grid))
 
 
 @dataclass(frozen=True)

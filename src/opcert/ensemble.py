@@ -12,12 +12,10 @@ Inference runs one member per core (`core.member_map`): `rp_predict`
 maps the members over the pool, and `rp_train` computes every member's
 prior residual targets there. Training takes one member at a time, and
 each of its steps runs on both cores (`neuralop.train`, through
-`core.halves`). Training the members side by side on the pool was about
-as fast, but every member's graph and Adam state were then live at once,
-and peak memory grew by two thirds (darcy-32, 287 -> 484 MB). Each
-member there also kept its previous step's graph until its next forward
-returned. `ad.backward` now frees that graph, and the pool still needs
-two thirds more (darcy-32, 217 -> 367 MB).
+`core.halves`). Training the members side by side on the pool is about
+as fast, but every member's graph and Adam state are then live at once:
+the darcy-32 train command (20 samples, 4 members, 2 epochs) peaks at
+about 244 MB pooled, against 155 MB one member at a time.
 """
 
 from __future__ import annotations

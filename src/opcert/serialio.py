@@ -20,7 +20,8 @@ from .core import GridSpec
 # OPCERT02: the model header dropped the spike-train length of OPCERT01
 CHECKPOINT_MAGIC = b"OPCERT02"
 DATASET_MAGIC = b"OPDATA01"
-QFIELD_MAGIC = b"OPQFLD01"
+# OPQFLD02: the q-field header dropped the band multiplier z of OPQFLD01
+QFIELD_MAGIC = b"OPQFLD02"
 VERSION = 1
 
 

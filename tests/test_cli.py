@@ -1,9 +1,10 @@
-"""End-to-end runs of the `opcert` command line on a tiny Burgers problem.
+"""End-to-end runs of the `opcert` command line on tiny problems.
 
-A 16-point dataset is drawn from a 64-point solver, and every model trains
-for one epoch (ensembles with two members), so the module runs in seconds.
-Each subcommand is checked for its exit code and artifacts, and each
-failure path for its documented exit code.
+A 16-point Burgers dataset is drawn from a 64-point solver, and every model
+trains for one epoch (ensembles with two members), so the module runs in
+seconds. Each subcommand is checked for its exit code and artifacts, and
+each failure path for its documented exit code. One Darcy run takes the
+whole pipeline from a 16 x 16 grid to a 32 x 32 one.
 """
 
 import ctypes
@@ -117,6 +118,29 @@ def test_superres_transfers_to_finer_grid(root, tmp_path):
     assert sum(row[0] == "location" for row in rows) == 32
 
 
+def test_darcy_pipeline_transfers_to_finer_grid(tmp_path):
+    darcy = {**TINY, "experiment": "darcy", "n_train": 4, "n_test": 2}
+    cfg = write_config(tmp_path / "run.cfg", **darcy)
+    hi = write_config(tmp_path / "hi.cfg", **{**darcy, "resolution": 32})
+    for argv in (
+        ("generate-data", "--config", cfg, "--out", tmp_path / "data"),
+        ("generate-data", "--config", hi, "--out", tmp_path / "data_hi"),
+        ("train", "--config", cfg, "--data", tmp_path / "data", "--out", tmp_path / "ckpt"),
+        ("calibrate", "--ckpt", tmp_path / "ckpt", "--data", tmp_path / "data",
+         "--out", tmp_path / "q.qfield"),
+        ("evaluate", "--ckpt", tmp_path / "ckpt", "--qfield", tmp_path / "q.qfield",
+         "--data", tmp_path / "data", "--out", tmp_path / "coverage.csv"),
+        ("superres", "--ckpt", tmp_path / "ckpt", "--qfield", tmp_path / "q.qfield",
+         "--data-hi", tmp_path / "data_hi", "--out", tmp_path / "coverage_hi.csv"),
+    ):
+        assert opcert(*argv) == 0, argv[0]
+    assert cf.load_qfield(tmp_path / "q.qfield").values.shape == (16, 16)
+    for name, points in (("coverage.csv", 16 * 16), ("coverage_hi.csv", 32 * 32)):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()]
+        assert sum(row[0] == "location" for row in rows) == points, name
+        assert rows[-1][0] == "nmse_percent"
+
+
 def test_spiking_report(root, tmp_path):
     out = tmp_path / "spikes.csv"
     assert opcert("spiking-report", "--ckpt", root / "rp-vswno", "--data", root / "data",
@@ -187,6 +211,25 @@ def test_old_checkpoint_format_exits_3(root, tmp_path):
     member.write_bytes(b"OPCERT01" + member.read_bytes()[8:])
     assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
                   "--out", tmp_path / "q.qfield") == 3
+
+
+def test_old_qfield_format_exits_3(root, tmp_path):
+    # OPQFLD01 files carried a band multiplier z that the format dropped
+    old = tmp_path / "q.qfield"
+    old.write_bytes(b"OPQFLD01" + (root / "rp-wno" / "q.qfield").read_bytes()[8:])
+    assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", old,
+                  "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
+    assert not (tmp_path / "coverage.csv").exists()
+
+
+def test_superres_with_infinite_q_exits_6(root, tmp_path, capsys):
+    qf = cf.load_qfield(root / "rp-wno" / "q.qfield")
+    qf.values[5] = np.inf
+    cf.save_qfield(qf, tmp_path / "q.qfield")
+    assert opcert("superres", "--ckpt", root / "rp-wno", "--qfield", tmp_path / "q.qfield",
+                  "--data-hi", root / "data_hi", "--out", tmp_path / "cov.csv") == 6
+    assert "1 infinite conformal parameters, the first at location (5,)" in capsys.readouterr().err
+    assert not (tmp_path / "cov.csv").exists()
 
 
 def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys):

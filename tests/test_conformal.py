@@ -129,7 +129,7 @@ class TestBand:
     def test_basic(self):
         grid = GridSpec((3,))
         qf = cf.QField(np.full(3, 2.0), grid, 0.05)
-        band = cf.band(np.zeros(3), np.ones(3), qf, z=1.0)
+        band = cf.band(np.zeros(3), np.ones(3), qf)
         assert np.allclose(band.lower, -2.0)
         assert np.allclose(band.upper, 2.0)
 
@@ -146,10 +146,10 @@ class TestBand:
         mu = gen.standard_normal(8)
         s = np.abs(gen.standard_normal(8))
         q = np.abs(gen.standard_normal(8))
-        band = cf.band(mu, s, cf.QField(q, grid, 0.05), z=1.5)
+        band = cf.band(mu, s, cf.QField(q, grid, 0.05))
         for j in range(8):
-            assert band.lower[j] == pytest.approx(mu[j] - 1.5 * q[j] * s[j], rel=1e-12)
-            assert band.upper[j] == pytest.approx(mu[j] + 1.5 * q[j] * s[j], rel=1e-12)
+            assert band.lower[j] == pytest.approx(mu[j] - q[j] * s[j], rel=1e-12)
+            assert band.upper[j] == pytest.approx(mu[j] + q[j] * s[j], rel=1e-12)
 
     def test_shape_mismatch(self):
         qf = cf.QField(np.ones(3), GridSpec((3,)), 0.05)
@@ -166,10 +166,10 @@ class TestBand:
         q = np.abs(gen.standard_normal((3, 4)))
         q[2, 3] = np.inf
         qf = cf.QField(q, grid, 0.05)
-        band = cf.band(mu, s, qf, z=1.7)
+        band = cf.band(mu, s, qf)
         cq = cf.cq_band(mu, mu + s, qf)
         for i in range(5):
-            one = cf.band(mu[i], s[i], qf, z=1.7)
+            one = cf.band(mu[i], s[i], qf)
             assert np.array_equal(band.lower[i], one.lower)
             assert np.array_equal(band.upper[i], one.upper)
             one = cf.cq_band(mu[i], mu[i] + s[i], qf)
@@ -267,11 +267,11 @@ class TestQFieldContainer:
         grid = GridSpec((4, 4))
         values = np.abs(SeededRng(18).generator().standard_normal((4, 4)))
         values[0, 0] = np.inf
-        qf = cf.QField(values, grid, 0.05, z=1.0)
+        qf = cf.QField(values, grid, 0.05)
         path = tmp_path / "field.opq"
         cf.save_qfield(qf, path)
         loaded = cf.load_qfield(path)
-        assert loaded.alpha == 0.05 and loaded.z == 1.0
+        assert loaded.alpha == 0.05
         assert loaded.grid.shape == (4, 4)
         assert np.array_equal(loaded.values, values)
 

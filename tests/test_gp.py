@@ -4,7 +4,30 @@ from scipy.interpolate import CubicSpline
 
 from opcert import gp as gpm
 from opcert.conformal import QField
-from opcert.core import GridSpec, SeededRng
+from opcert.core import GridSpec, SeededRng, coordinate_rows
+
+
+def _sqs(axes):
+    return [np.subtract.outer(x, x) ** 2 for x in axes]
+
+
+def _dense_kron_nll(axes, y, theta):
+    """Profiled NLL with the whole n x n kernel, R_1 (x) R_2 built by np.kron."""
+    length, shape, lam = np.exp(theta)
+    factors = [(1 + sq / (2 * shape * length**2)) ** (-shape) for sq in _sqs(axes)]
+    a = np.kron(*factors) + lam * np.eye(y.size)
+    ainv, one, y = np.linalg.inv(a), np.ones(y.size), y.ravel()
+    mu = (one @ ainv @ y) / (one @ ainv @ one)
+    v = (y - mu) @ ainv @ (y - mu) / y.size
+    return 0.5 * (y.size * np.log(2 * np.pi * v) + np.linalg.slogdet(a)[1] + y.size)
+
+
+def _grid_target(seed):
+    gen = SeededRng(seed).generator()
+    axes = [np.linspace(0, 1, 12), np.sort(gen.uniform(0, 1, 10))]
+    y = (np.sin(3 * axes[0])[:, None] + np.cos(2 * axes[1])[None, :] + 5.0
+         + 0.3 * gen.standard_normal((12, 10)))
+    return axes, y
 
 
 class TestKernel:
@@ -49,73 +72,92 @@ class TestFit:
         mu = (one @ ainv @ y) / (one @ ainv @ one)
         v = (y - mu) @ ainv @ (y - mu) / 2
         expected = 0.5 * (2 * np.log(2 * np.pi * v) + np.log(det) + 2)
-        got, _, (got_mu, got_v, _) = gpm._profiled(
-            gpm._sqdist(x, x), y, np.log([length, shape, lam]), False
-        )
+        got, _, (got_mu, got_v, _) = gpm._profiled(_sqs([x[:, 0]]), y, np.log([length, shape, lam]))
         assert got == pytest.approx(expected, rel=1e-12)
         assert (got_mu, got_v) == pytest.approx((mu, v), rel=1e-12)
 
-    def test_gradient_matches_finite_differences(self):
-        gen = SeededRng(19).generator()
-        x = gen.uniform(0, 1, (30, 2))
-        y = np.sin(3 * x[:, 0]) + 0.3 * gen.standard_normal(30) + 5.0
-        sq = gpm._sqdist(x, x)
+    def test_grid_nll_matches_dense_kron_oracle(self):
+        # a 12 x 10 grid with one uneven axis, against the 120 x 120 kernel
+        axes, y = _grid_target(19)
         for theta in (np.log([0.2, 1.0, 1.0]), np.log([0.05, 3.0, 0.01])):
-            _, grad, _ = gpm._profiled(sq, y, theta, True)
+            nll, _, _ = gpm._profiled(_sqs(axes), y, theta)
+            assert nll == pytest.approx(_dense_kron_nll(axes, y, theta), rel=1e-13)
+
+    def test_gradient_matches_finite_differences(self):
+        axes, y = _grid_target(19)
+        sqs = _sqs(axes)
+        for theta in (np.log([0.2, 1.0, 1.0]), np.log([0.05, 3.0, 0.01])):
+            _, grad, _ = gpm._profiled(sqs, y, theta)
             fd = [
-                (gpm._profiled(sq, y, theta + e, False)[0]
-                 - gpm._profiled(sq, y, theta - e, False)[0]) / 2e-6
+                (gpm._profiled(sqs, y, theta + e)[0] - gpm._profiled(sqs, y, theta - e)[0]) / 2e-6
                 for e in 1e-6 * np.eye(3)
             ]
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     def test_duplicate_inputs_rejected(self):
         with pytest.raises(gpm.GpFitError):
-            gpm.gp_fit(np.array([[0.1], [0.1], [0.5]]), np.array([1.0, 2.0, 3.0]))
+            gpm.gp_fit([[0.1, 0.1, 0.5]], np.array([1.0, 2.0, 3.0]))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            gpm.gp_fit(np.array([[0.1]]), np.array([1.0]))
+            gpm.gp_fit([[0.1]], np.array([1.0]))
+        with pytest.raises(ValueError):
+            gpm.gp_fit([[0.1, 0.5]], np.array([1.0, 2.0, 3.0]))
 
     def test_nll_never_worse_than_start(self):
         gen = SeededRng(0).generator()
-        x = gen.uniform(0, 1, (20, 1))
-        y = np.sin(4 * x[:, 0]) + 0.1 * gen.standard_normal(20)
-        model = gpm.gp_fit(x, y)
-        start_nll, _, _ = gpm._profiled(gpm._sqdist(x, x), y, np.log(gpm._START), False)
+        x = gen.uniform(0, 1, 20)
+        y = np.sin(4 * x) + 0.1 * gen.standard_normal(20)
+        model = gpm.gp_fit([x], y)
+        start_nll, _, _ = gpm._profiled(_sqs([x]), y, np.log(gpm._START))
         assert model.nll_trace[0] == start_nll
         assert model.nll_trace[-1] < start_nll
 
     def test_trace_non_increasing(self):
         gen = SeededRng(2).generator()
-        x = gen.uniform(0, 1, (15, 1))
-        y = np.cos(5 * x[:, 0]) + 0.2 * gen.standard_normal(15)
-        trace = np.array(gpm.gp_fit(x, y).nll_trace)
+        x = gen.uniform(0, 1, 15)
+        y = np.cos(5 * x) + 0.2 * gen.standard_normal(15)
+        trace = np.array(gpm.gp_fit([x], y).nll_trace)
         assert trace.size > 1 and np.all(np.diff(trace) < 0)
         # all-zero targets give the constant model without a search
-        model = gpm.gp_fit(x, np.zeros(15))
+        model = gpm.gp_fit([x], np.zeros(15))
         assert model.nll_trace == [-np.inf]
         assert model.params.variance == 0.0 and model.mean == 0.0
-        assert np.all(gpm.gp_predict(model, gen.uniform(0, 1, (5, 1))) == 0.0)
+        assert np.all(gpm.gp_predict(model, [gen.uniform(0, 1, 5)]) == 0.0)
 
 
 class TestPredict:
     def test_three_point_dense_oracle(self):
         x = np.array([[0.0], [0.35], [0.9]])
         y = np.array([0.5, -1.0, 2.0])
-        model = gpm.gp_fit(x, y)
+        model = gpm.gp_fit([x[:, 0]], y)
         xq = np.linspace(0, 1, 7)[:, None]
-        mean = gpm.gp_predict(model, xq)
+        mean = gpm.gp_predict(model, [xq[:, 0]])
         kinv = np.linalg.inv(gpm.rq_kernel(x, x, model.params) + model.noise * np.eye(3))
         ks = gpm.rq_kernel(x, xq, model.params)
         mean_o = model.mean + ks.T @ kinv @ (y - model.mean)
         assert np.max(np.abs(mean - mean_o)) < 1e-8
 
+    def test_grid_prediction_matches_dense_oracle(self):
+        # K1* B K2*' along the axes equals the all-points formula with the
+        # product kernel over coordinate rows
+        axes, y = _grid_target(23)
+        model = gpm.gp_fit(axes, y)
+        assert len(model.nll_trace) > 1
+        query = [np.linspace(0, 1, 7), np.linspace(-0.2, 1.1, 5)]
+        mean = gpm.gp_predict(model, query)
+        x, xq = model.x_train, coordinate_rows(query)
+        k = gpm.rq_kernel(x, x, model.params) + model.noise * np.eye(y.size)
+        mean_o = model.mean + gpm.rq_kernel(xq, x, model.params) @ np.linalg.solve(
+            k, y.ravel() - model.mean)
+        assert mean.shape == (7, 5)
+        assert np.max(np.abs(mean.ravel() - mean_o)) < 1e-8
+
     def test_prior_reversion_far_away(self):
         # far from the data the posterior mean reverts to the fitted constant
-        x = np.array([[0.0], [0.1], [0.2]])
+        x = np.array([0.0, 0.1, 0.2])
         y = np.array([1.0, 1.1, 0.9])
-        model = gpm.gp_fit(x, y)
+        model = gpm.gp_fit([x], y)
         mean = gpm.gp_predict(model, [[1e6]])
         assert mean[0] == pytest.approx(model.mean, abs=1e-3)
 
@@ -161,15 +203,15 @@ class TestSuperresTransport:
         assert dev <= 0.3 * 50.0
         assert model.params.length_scale >= xs[1]
 
-    def test_infinite_locations_excluded(self):
-        grid = GridSpec((16,))
-        q = np.full(16, 1.5)
-        q[3] = np.inf
-        qf = QField(q, grid, 0.05)
-        with pytest.warns(RuntimeWarning, match="excluding 1"):
-            out, model = gpm.superres_q(qf, grid)
-        assert np.all(np.isfinite(out.values))
-        assert model.x_train.shape[0] == 15
+    def test_infinite_location_rejected(self):
+        # the grid fit needs every value; the error names the count and the
+        # first location
+        q = np.full((6, 5), 1.5)
+        q[4, 1] = q[2, 3] = np.inf
+        qf = QField(q, GridSpec((6, 5)), 0.05)
+        with pytest.raises(gpm.GpFitError,
+                           match=r"2 infinite conformal parameters, the first at location \(2, 3\)"):
+            gpm.superres_q(qf, GridSpec((12, 10)))
 
     def test_all_infinite_rejected(self):
         qf = QField(np.full(8, np.inf), GridSpec((8,)), 0.05)
@@ -186,39 +228,15 @@ class TestSuperresTransport:
         out, _ = gpm.superres_q(qf, GridSpec((48,)))
         assert np.all(out.values >= 0.0)
 
-    def test_large_grid_strided(self, monkeypatch):
-        # exercise the striding logic with a lowered cap so the test stays
-        # cheap; production keeps the 4000-point bound
-        monkeypatch.setattr(gpm, "_MAX_FIT_POINTS", 300)
-        grid = GridSpec((96, 96))
-        qf = QField(np.ones((96, 96)), grid, 0.05)
-        out, model = gpm.superres_q(qf, GridSpec((96, 96)))
-        assert model.stride > 1
-        assert model.x_train.shape[0] <= 300
-        assert out.values.shape == (96, 96)
-
-    def test_strided_fit_points_form_a_tensor_sub_grid(self, monkeypatch):
-        # 85 x 85 is the Darcy protocol grid; a flat stride over its
-        # row-major points would give a checkerboard, not a sub-grid
-        monkeypatch.setattr(gpm, "_MAX_FIT_POINTS", 300)
-        grid = GridSpec((85, 85))
-        xs = np.linspace(0, 1, 85)
-        q = 1.0 + 0.1 * np.add.outer(np.sin(2 * np.pi * xs), xs)
-        _, model = gpm.superres_q(QField(q, grid, 0.05), GridSpec((17, 17)))
-        n_x, n_y = (np.unique(model.x_train[:, d]).size for d in range(2))
-        assert model.stride > 1
-        assert n_x * n_y == model.x_train.shape[0] <= 300
-        sub = xs[:: model.stride]
-        assert np.array_equal(np.unique(model.x_train[:, 0]), sub)
-        assert np.array_equal(np.unique(model.x_train[:, 1]), sub)
-
-    def test_strided_fit_drops_infinite_sub_grid_points(self, monkeypatch):
-        monkeypatch.setattr(gpm, "_MAX_FIT_POINTS", 300)
-        q = np.ones((85, 85))
-        q[0, 5] = q[1, 1] = np.inf  # on and off the stride-5 sub-grid
-        with pytest.warns(RuntimeWarning, match="excluding 2"):
-            _, model = gpm.superres_q(QField(q, GridSpec((85, 85)), 0.05),
-                                      GridSpec((17, 17)))
-        assert model.stride == 5
-        assert model.x_train.shape[0] == 17 * 17 - 1
-        assert not np.any(np.all(model.x_train == [0.0, 5 / 84], axis=1))
+    def test_large_grid_fits_every_point(self):
+        # 64 x 64 = 4096 points: one exact fit over the whole grid, no sub-grid
+        xs = np.linspace(0, 1, 64)
+        gen = SeededRng(5).generator()
+        q = (1.0 + 0.3 * np.add.outer(np.sin(2 * np.pi * xs), xs)
+             + 0.05 * gen.standard_normal((64, 64)))
+        out, model = gpm.superres_q(QField(q, GridSpec((64, 64)), 0.05), GridSpec((96, 96)))
+        assert model.x_train.shape == (4096, 2)
+        assert len(model.nll_trace) > 1
+        assert out.values.shape == (96, 96) and np.all(np.isfinite(out.values))
+        # both grids share the four corners
+        assert np.abs(out.values[::95, ::95] - q[::63, ::63]).max() < 0.2

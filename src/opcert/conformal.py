@@ -244,7 +244,7 @@ def save_qfield(qfield: QField, path):
 
 
 def load_qfield(path) -> QField:
-    with open(path, "rb") as fh:
+    with sio.reading(path) as fh:
         sio.check_magic(fh, sio.QFIELD_MAGIC)
         grid = sio.read_grid(fh)
         alpha = sio.read_f64(fh)

@@ -10,6 +10,12 @@ basis is cached per point set, and a transport time step costs two
 transform calls: one inverse transform of the stacked spectra of u and
 u_x, whose u also serves the stability check, and one forward transform
 of the product.
+
+Only the Darcy solve loads `scipy.sparse`, inside `solve_darcy_fd`. Every
+command imports this module for its dataset reader, and a module-level
+import would put the sparse stack (with `scipy.linalg`, ~10 MB resident)
+into the train, calibrate, evaluate and superres processes, which never
+solve.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import diags_array
-from scipy.sparse.linalg import spsolve
 
 from . import serialio as sio
 from .core import GridSpec, SeededRng
@@ -258,6 +262,9 @@ def solve_darcy_fd(a: np.ndarray, config: DarcyConfig) -> np.ndarray:
     symmetric positive definite for positive a; it is assembled sparse and
     solved directly.
     """
+    from scipy.sparse import diags_array
+    from scipy.sparse.linalg import spsolve
+
     a = np.asarray(a, dtype=np.float64)
     r = config.resolution
     if a.shape != (r, r):
@@ -327,7 +334,7 @@ def write_dataset(path, kind: str, grid: GridSpec, inputs: np.ndarray, outputs: 
 
 
 def read_dataset(path):
-    with open(path, "rb") as fh:
+    with sio.reading(path) as fh:
         sio.check_magic(fh, sio.DATASET_MAGIC)
         kind = _KIND_NAMES[sio.read_u32(fh)]
         grid = sio.read_grid(fh)

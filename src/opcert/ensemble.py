@@ -15,7 +15,7 @@ each of its steps runs on both cores (`neuralop.train`, through
 `core.halves`). Training the members side by side on the pool is about
 as fast, but every member's graph and Adam state are then live at once:
 the darcy-32 train command (20 samples, 4 members, 2 epochs) peaks at
-about 244 MB pooled, against 155 MB one member at a time.
+about 233 MB pooled, against 145 MB one member at a time.
 """
 
 from __future__ import annotations
@@ -173,12 +173,22 @@ def save_ensemble(ensemble: RpEnsemble, directory):
 
 def load_ensemble(directory) -> RpEnsemble:
     directory = Path(directory)
-    manifest = sio.read_manifest(directory / "manifest.txt")
+    path = directory / "manifest.txt"
+    manifest = sio.read_manifest(path)
     if manifest.get("kind") != "rp":
         raise sio.FormatError(f"not an ensemble checkpoint: {directory}")
-    n_c = int(manifest["n_c"])
-    weight = float(manifest["prior_weight"])
-    streams = [int(s) for s in manifest["seed_streams"].split(",")]
+
+    def entry(key, parse):
+        try:
+            return parse(manifest[key])
+        except (KeyError, ValueError) as exc:
+            raise sio.FormatError(f"missing or bad {key!r} in {path}") from exc
+
+    n_c = entry("n_c", int)
+    weight = entry("prior_weight", float)
+    streams = entry("seed_streams", lambda raw: [int(s) for s in raw.split(",")])
+    if len(streams) != n_c:  # also catches n_c < 1: split() yields one or more
+        raise sio.FormatError(f"{path} lists {len(streams)} 'seed_streams' for 'n_c' = {n_c}")
     members = []
     for i in range(n_c):
         trainable = no.load_model(directory / f"member_{i:03d}.ckpt")

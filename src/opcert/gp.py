@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401  bench/tracing.py wraps this name
 
 from .core import GridSpec, coordinate_rows, normalized_axes, one_blas_thread
 from .conformal import QField
@@ -200,3 +199,14 @@ def superres_q(qfield: QField, target_grid: GridSpec) -> tuple[QField, GpModel]:
     model = gp_fit(normalized_axes(qfield.grid), qfield.values)
     mean = np.maximum(gp_predict(model, normalized_axes(target_grid)), 0.0)
     return QField(mean, target_grid, qfield.alpha), model
+
+
+def __getattr__(name):
+    # No fit calls cho_factor, but bench/tracing.py still wraps `gp.cho_factor`.
+    # Resolving it on first access keeps scipy.linalg (~6 MB resident) out of
+    # every command. Delete this with that wrap (ROADMAP item 6).
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -371,7 +371,7 @@ def save_model(model: WnoModel, path):
 
 
 def load_model(path) -> WnoModel:
-    with open(path, "rb") as fh:
+    with sio.reading(path) as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
         width, layers, levels, wid, aid, proj_hidden, in_ch = sio.read_u32(fh, 7)
         slope = sio.read_f64(fh)

@@ -3,7 +3,8 @@
 All payloads are little-endian float64 in C order so containers round-trip
 bit-exactly. Each file starts with an 8-byte magic and a u32 version.
 Writers go through `replacing`, so a failed write leaves any previous file
-in place and no partial one behind.
+in place and no partial one behind. Readers go through `reading`, so a
+format error names the file it was found in.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def replacing(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Binary read handle on `path`; a FormatError raised in the block names the file."""
+    with open(path, "rb") as fh:
+        try:
+            yield fh
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_u32(fh, *values):
@@ -100,7 +111,13 @@ def write_named_array(fh, name: str, arr: np.ndarray):
 
 def read_named_array(fh):
     name_len = read_u32(fh)
-    name = fh.read(name_len).decode("utf-8")
+    raw = fh.read(name_len)
+    if len(raw) != name_len:
+        raise FormatError(f"truncated array name: {len(raw)} of {name_len} bytes")
+    try:
+        name = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"array name of {name_len} bytes is not UTF-8") from exc
     return name, read_array(fh)
 
 

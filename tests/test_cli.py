@@ -10,6 +10,7 @@ whole pipeline from a 16 x 16 grid to a 32 x 32 one.
 import ctypes
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from opcert import conformal as cf
 from opcert import datagen as dg
 from opcert import ensemble as ens
 from opcert import neuralop as no
+from opcert import serialio as sio
 from opcert.core import SeededRng
 
 # seed 1 draws no sample that the Burgers solver fails on at this size
@@ -204,13 +206,42 @@ def test_spiking_report_on_continuous_model_exits_7(root, tmp_path):
                   "--out", tmp_path / "spikes.csv") == 7
 
 
-def test_old_checkpoint_format_exits_3(root, tmp_path):
+def test_old_checkpoint_format_exits_3(root, tmp_path, capsys):
+    # an OPCERT01 header, then a stored name length that reads past the
+    # name (into float bytes that are not UTF-8) or past the end of the file
+    original = (root / "rp-wno" / "member_000.ckpt").read_bytes()
+    field = original.index(struct.pack("<I", 8) + b"layer0.b")
+    corrupt = [b"OPCERT01" + original[8:]]
+    corrupt += [original[:field] + struct.pack("<I", n) + original[field + 4:]
+                for n in (5000, len(original))]
+    for case, data in enumerate(corrupt):
+        ckpt = tmp_path / f"ckpt{case}"
+        shutil.copytree(root / "rp-wno", ckpt)
+        (ckpt / "member_000.ckpt").write_bytes(data)
+        assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
+                      "--out", tmp_path / "q.qfield") == 3
+        assert str(ckpt / "member_000.ckpt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_c", None), ("prior_weight", None), ("seed_streams", None),
+    ("n_c", "two"), ("prior_weight", "heavy"), ("seed_streams", "1,x"),
+    ("seed_streams", "7"),  # one stream for two members
+    ("n_c", "0"),
+])
+def test_bad_ensemble_manifest_exits_3(root, tmp_path, capsys, key, value):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(root / "rp-wno", ckpt)
-    member = ckpt / "member_000.ckpt"
-    member.write_bytes(b"OPCERT01" + member.read_bytes()[8:])
+    manifest = sio.read_manifest(ckpt / "manifest.txt")
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    sio.write_manifest(ckpt / "manifest.txt", manifest)
     assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
                   "--out", tmp_path / "q.qfield") == 3
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(ckpt / "manifest.txt") in err
 
 
 def test_old_qfield_format_exits_3(root, tmp_path):
@@ -334,13 +365,28 @@ def test_outputs_do_not_depend_on_blas_threads(root, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-def test_import_starts_no_thread(tmp_path):
+def fresh_python(tmp_path, probe):
+    """stdout of `probe` run in a new interpreter that imports this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    probe = ("import threading, opcert.cli, opcert.core as c; "
-             "print(threading.active_count(), c._helper)")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.split() == ["1", "None"]
+    return proc.stdout
+
+
+def test_import_starts_no_thread(tmp_path):
+    probe = ("import threading, opcert.cli, opcert.core as c; "
+             "print(threading.active_count(), c._helper)")
+    assert fresh_python(tmp_path, probe).split() == ["1", "None"]
+
+
+def test_model_commands_import_no_sparse_or_linalg(tmp_path):
+    # only the Darcy solve needs scipy.sparse (and, through it,
+    # scipy.linalg); the other commands must not carry them
+    probe = ("import sys, numpy as np, opcert.cli, opcert.gp as gp, opcert.datagen as dg; "
+             "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules)); "
+             "u = dg.solve_darcy_fd(np.full((5, 5), 2.0), dg.DarcyConfig(resolution=5)); "
+             "print(callable(gp.cho_factor), bool(u[2, 2] > 0), 'scipy.sparse' in sys.modules)")
+    assert fresh_python(tmp_path, probe).splitlines() == ["[]", "True True True"]
 
 
 def test_main_runs_without_mallopt(monkeypatch, tmp_path):

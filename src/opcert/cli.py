@@ -40,9 +40,7 @@ from . import ensemble as ens
 from . import gp as gpm
 from . import neuralop as no
 from . import serialio as sio
-from .core import (
-    Band, GridError, GridSpec, SeededRng, ShapeError, member_map, normalized_coordinates,
-)
+from .core import GridError, GridSpec, SeededRng, ShapeError, member_map, normalized_coordinates
 
 # dedicated stream bases, disjoint from the per-sample data streams
 CALIBRATION_JITTER_STREAM = 4 << 20
@@ -217,27 +215,30 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint(path):
+    """The checkpoint's kind, its model, and its interval(inputs) -> (lower, upper, scale)."""
     manifest = sio.read_manifest(Path(path) / "manifest.txt")
     if manifest.get("kind") == "qwno":
-        lo = no.load_model(Path(path) / "lo.ckpt")
-        hi = no.load_model(Path(path) / "hi.ckpt")
-        return "qwno", (lo, hi)
-    return "rp", ens.load_ensemble(path)
+        pair = [no.load_model(Path(path) / f"{tag}.ckpt") for tag in ("lo", "hi")]
+
+        def interval(inputs):
+            lo, hi = member_map(lambda m: m.predict(inputs), pair)
+            return lo, hi, np.ones_like(lo)
+
+        return "qwno", pair, interval
+    ensemble = ens.load_ensemble(path)
+
+    def interval(inputs):
+        mean, spread = ens.rp_predict(ensemble, inputs)
+        return mean, mean, spread
+
+    return "rp", ensemble, interval
 
 
 def cmd_calibrate(args) -> int:
-    kind, model = _load_checkpoint(args.ckpt)
+    _, _, interval = _load_checkpoint(args.ckpt)
     data_kind, grid, cal_in, cal_out = _load_split(args.data, "calibration")
     jitter_rng = SeededRng(args.seed or 0, CALIBRATION_JITTER_STREAM)
-    if kind == "rp":
-        qf = cf.calibrate(
-            cal_in, cal_out,
-            lambda u: ens.rp_predict(model, u),
-            args.alpha, jitter_rng, grid,
-        )
-    else:
-        lo_p, hi_p = member_map(lambda m: m.predict(cal_in), model)
-        qf = cf.calibrate_cq(cal_out, lo_p, hi_p, args.alpha, jitter_rng, grid)
+    qf = cf.calibrate(cal_out, interval(cal_in), args.alpha, jitter_rng, grid)
     cf.save_qfield(qf, args.out)
     finite = qf.values[np.isfinite(qf.values)]
     if finite.size:
@@ -250,19 +251,16 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _coverage_csv(path, grid, calibrated, uncalibrated, nmse, target):
-    coords = None
-    try:
-        coords = normalized_coordinates(grid)
-    except GridError:
-        pass
+def _coverage_csv(path, grid, calibrated, uncalibrated, nmse):
+    coords = normalized_coordinates(grid)
+    target = calibrated.target_percent
     coord_cols = [f"coord_{i}" for i in range(grid.dims)]
     rows = [["row_type", "location", *coord_cols, "coverage_calibrated",
              "coverage_uncalibrated", "below_target"]]
     cal = calibrated.per_location.ravel()
     unc = uncalibrated.per_location.ravel()
     for i in range(cal.size):
-        xy = [repr(float(c)) for c in coords[i]] if coords is not None else [""] * grid.dims
+        xy = [repr(float(c)) for c in coords[i]]
         rows.append(
             ["location", i, *xy, repr(float(cal[i])), repr(float(unc[i])), int(cal[i] < target)]
         )
@@ -283,40 +281,28 @@ def nmse_percent(truths: np.ndarray, preds: np.ndarray) -> float:
     return 100.0 * float(np.sum((truths - preds) ** 2) / np.sum(truths**2))
 
 
-def _evaluate_rp(ensemble, qf, test_in, test_out, z_uncal):
-    mean, spread = ens.rp_predict(ensemble, test_in)
+def _evaluate(kind, interval, qf, test_in, test_out, z_uncal):
+    """Calibrated and uncalibrated coverage reports, and the nMSE of the midpoint."""
+    lower, upper, scale = interval(test_in)
     target = (1.0 - qf.alpha) * 100.0
+    # the pair's own interval is its uncalibrated band: crossed quantiles
+    # stay crossed and cover nothing, and hiding that would overstate the baseline
+    q_uncal = z_uncal if kind == "rp" else 0.0
     return (
-        cf.coverage_eval(cf.band(mean, spread, qf), test_out, target),
-        cf.coverage_eval(ens.initial_band(mean, spread, z=z_uncal), test_out, target),
-        nmse_percent(test_out, mean),
-    )
-
-
-def _evaluate_cq(models, qf, test_in, test_out, target):
-    lo_p, hi_p = member_map(lambda m: m.predict(test_in), models)
-    mid = 0.5 * (lo_p + hi_p)
-    return (
-        cf.coverage_eval(cf.cq_band(lo_p, hi_p, qf), test_out, target),
-        # crossed quantiles stay crossed: such a band covers nothing, and
-        # hiding that would overstate the baseline
-        cf.coverage_eval(Band(lo_p, hi_p), test_out, target),
-        nmse_percent(test_out, mid),
+        cf.coverage_eval(cf.band(lower, upper, scale, qf.values), test_out, target),
+        cf.coverage_eval(cf.band(lower, upper, scale, q_uncal), test_out, target),
+        nmse_percent(test_out, 0.5 * (lower + upper)),
     )
 
 
 def cmd_evaluate(args) -> int:
-    kind, model = _load_checkpoint(args.ckpt)
+    kind, _, interval = _load_checkpoint(args.ckpt)
     qf = cf.load_qfield(args.qfield)
     data_kind, grid, test_in, test_out = _load_split(args.data, args.split)
     if grid.shape != qf.grid.shape:
         raise ShapeError(f"data grid {grid.shape} != calibration grid {qf.grid.shape}")
-    target = (1.0 - qf.alpha) * 100.0
-    if kind == "rp":
-        cal_rep, unc_rep, nmse = _evaluate_rp(model, qf, test_in, test_out, args.z)
-    else:
-        cal_rep, unc_rep, nmse = _evaluate_cq(model, qf, test_in, test_out, target)
-    _coverage_csv(args.out, grid, cal_rep, unc_rep, nmse, target)
+    cal_rep, unc_rep, nmse = _evaluate(kind, interval, qf, test_in, test_out, args.z)
+    _coverage_csv(args.out, grid, cal_rep, unc_rep, nmse)
     s = cal_rep.summary()
     print(
         f"coverage avg {s['average']:.2f} min {s['min']:.2f} max {s['max']:.2f} "
@@ -327,16 +313,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_superres(args) -> int:
-    kind, model = _load_checkpoint(args.ckpt)
+    kind, _, interval = _load_checkpoint(args.ckpt)
     if kind != "rp":
         raise ConfigError("resolution transfer needs an ensemble checkpoint")
     qf = cf.load_qfield(args.qfield)
     data_kind, grid_hi, test_in, test_out = _load_split(args.data_hi, "test")
     qf_hi, gp_model = gpm.superres_q(qf, grid_hi)
     k = gp_model.params
-    cal_rep, unc_rep, nmse = _evaluate_rp(model, qf_hi, test_in, test_out, args.z)
-    target = (1.0 - qf.alpha) * 100.0
-    _coverage_csv(args.out, grid_hi, cal_rep, unc_rep, nmse, target)
+    cal_rep, unc_rep, nmse = _evaluate(kind, interval, qf_hi, test_in, test_out, args.z)
+    _coverage_csv(args.out, grid_hi, cal_rep, unc_rep, nmse)
     print(
         f"transferred q {qf.grid.shape} -> {grid_hi.shape} "
         f"(GP mean {gp_model.mean:.4g}, noise variance {gp_model.noise:.4g}, "
@@ -349,7 +334,7 @@ def cmd_superres(args) -> int:
 
 
 def cmd_spiking_report(args) -> int:
-    kind, model = _load_checkpoint(args.ckpt)
+    kind, model, _ = _load_checkpoint(args.ckpt)
     if kind != "rp":
         raise no.NonSpikingModelError("spiking report needs an ensemble checkpoint")
     data_kind, grid, test_in, _ = _load_split(args.data, "test")

@@ -1,5 +1,15 @@
 """Split conformal calibration per grid location, bands, and coverage.
 
+Both predictor kinds give an interval (lower, upper, scale) per sample and
+location, and share one normalized-interval score,
+
+    s = max(lower - y, y - upper) / scale,
+
+and one band, [lower - q*scale, upper + q*scale]. The randomized-prior
+ensemble is the instance (mean, mean, spread), whose score is
+|y - mean| / spread; the quantile pair is (lo, hi, 1), whose score is the
+conformalized-quantile-regression score max(lo - y, y - hi).
+
 Calibration turns held-out scores into one conformal parameter per grid
 location: the ceil((1-alpha)(n+1))-th smallest score ("higher" order
 statistic, no interpolation). When that index exceeds the calibration
@@ -79,17 +89,19 @@ class CoverageReport:
         }
 
 
-def score_rp(truth: np.ndarray, mean: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """Elementwise |truth - mean| / spread; zero spread scores +inf."""
+def score(truth: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+          scale: np.ndarray) -> np.ndarray:
+    """Elementwise max(lower - truth, truth - upper) / scale; zero scale scores +inf."""
     truth = np.asarray(truth, dtype=np.float64)
-    if truth.shape != np.shape(mean) or truth.shape != np.shape(spread):
+    if any(np.shape(a) != truth.shape for a in (lower, upper, scale)):
         raise ShapeError(
-            f"score shapes differ: {truth.shape}, {np.shape(mean)}, {np.shape(spread)}"
+            f"score shapes differ: {truth.shape}, {np.shape(lower)}, {np.shape(upper)}, "
+            f"{np.shape(scale)}"
         )
-    if np.any(spread < 0):
-        raise ValueError("spread must be non-negative")
-    err = np.abs(truth - mean)
-    degenerate = spread == 0
+    if np.any(scale < 0):
+        raise ValueError("scale must be non-negative")
+    err = np.maximum(lower - truth, truth - upper)
+    degenerate = scale == 0
     if np.any(degenerate):
         warnings.warn(
             f"{int(np.count_nonzero(degenerate))} locations have zero spread; "
@@ -98,7 +110,7 @@ def score_rp(truth: np.ndarray, mean: np.ndarray, spread: np.ndarray) -> np.ndar
             stacklevel=2,
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(degenerate, np.inf, err / np.where(degenerate, 1.0, spread))
+        out = np.where(degenerate, np.inf, err / np.where(degenerate, 1.0, scale))
     return out
 
 
@@ -125,17 +137,9 @@ def conformal_quantile(scores, alpha: float):
     return float(q) if q.ndim == 0 else q
 
 
-def _jittered_quantile(scores, alpha, rng: SeededRng, jitter: float) -> np.ndarray:
-    """Per-location quantile after a reproducible uniform tie-breaking jitter."""
-    if jitter > 0:
-        scores = scores + rng.generator().uniform(0.0, jitter, size=scores.shape)
-    return conformal_quantile(scores, alpha)
-
-
 def calibrate(
-    cal_inputs: np.ndarray,
     cal_targets: np.ndarray,
-    predictor,
+    interval,
     alpha: float,
     rng: SeededRng,
     grid: GridSpec,
@@ -143,9 +147,10 @@ def calibrate(
 ) -> QField:
     """Per-location conformal parameters from a held-out calibration set.
 
-    predictor(inputs) must return (mean, spread) stacks matching the
-    targets. The caller is responsible for keeping the calibration samples
-    disjoint from training; nothing here can check that.
+    interval is the predictor's (lower, upper, scale) stacks on the
+    calibration inputs, each matching the targets. The caller is
+    responsible for keeping the calibration samples disjoint from
+    training; nothing here can check that.
     """
     cal_targets = np.asarray(cal_targets, dtype=np.float64)
     if len(cal_targets) == 0:
@@ -154,35 +159,31 @@ def calibrate(
         raise ShapeError(
             f"calibration targets {cal_targets.shape[1:]} do not match grid {grid.shape}"
         )
-    mean, spread = predictor(cal_inputs)
-    if np.shape(mean) != cal_targets.shape or np.shape(spread) != cal_targets.shape:
-        raise ShapeError("predictor output does not match calibration targets")
-    scores = score_rp(cal_targets, mean, spread)
-    return QField(_jittered_quantile(scores, alpha, rng, jitter), grid, alpha)
+    scores = score(cal_targets, *interval)
+    if jitter > 0:
+        scores = scores + rng.generator().uniform(0.0, jitter, size=scores.shape)
+    # a pair's scores can be negative everywhere; a negative widening would
+    # shrink the interval, so clamp at zero, which keeps the guarantee
+    return QField(np.maximum(conformal_quantile(scores, alpha), 0.0), grid, alpha)
 
 
-def _check_stack(context: str, qfield: QField, *fields):
-    """Fields are one grid field or a (B, *grid) stack of them, all alike."""
-    shape = np.shape(fields[0])
-    grid = qfield.values.shape
-    if shape[len(shape) - len(grid):] != grid or any(np.shape(f) != shape for f in fields):
-        raise ShapeError(f"{context} shapes differ: {[np.shape(f) for f in fields]}, {grid}")
+def band(lower: np.ndarray, upper: np.ndarray, scale: np.ndarray, q) -> Band:
+    """Band [lower - q*scale, upper + q*scale].
 
-
-def band(mean: np.ndarray, spread: np.ndarray, qfield: QField) -> Band:
-    """Calibrated band [mean - q*spread, mean + q*spread].
-
-    mean and spread are one grid field or a (B, *grid) stack; q is shared
-    by every sample of the stack.
+    lower, upper and scale are one grid field or a (B, *grid) stack; q is a
+    QField's values, shared by every sample of the stack, or a constant.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    spread = np.asarray(spread, dtype=np.float64)
-    _check_stack("band", qfield, mean, spread)
+    lower, upper, scale = (np.asarray(a, dtype=np.float64) for a in (lower, upper, scale))
+    q = np.asarray(q, dtype=np.float64)
+    shape = lower.shape
+    if (upper.shape != shape or scale.shape != shape
+            or shape[len(shape) - q.ndim:] != q.shape):
+        raise ShapeError(f"band shapes differ: {shape}, {upper.shape}, {scale.shape}, {q.shape}")
     with np.errstate(invalid="ignore"):
-        half = qfield.values * spread
-        # inf * 0 spread: a degenerate location with infinite q covers everything
+        half = q * scale
+        # inf * 0 scale: a degenerate location with infinite q covers everything
         half = np.where(np.isnan(half), np.inf, half)
-    return Band(mean - half, mean + half)
+    return Band(lower - half, upper + half)
 
 
 def coverage_eval(band: Band, truths: np.ndarray, target_percent: float = 95.0) -> CoverageReport:
@@ -198,41 +199,6 @@ def coverage_eval(band: Band, truths: np.ndarray, target_percent: float = 95.0) 
         )
     per_location = 100.0 * band.contains(truths).mean(axis=0)
     return CoverageReport(per_location, target_percent)
-
-
-def cq_score(truth: np.ndarray, lo_pred: np.ndarray, hi_pred: np.ndarray) -> np.ndarray:
-    """Quantile-pair score max(lo - y, y - hi); negative inside the interval."""
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.shape != np.shape(lo_pred) or truth.shape != np.shape(hi_pred):
-        raise ShapeError("cq_score shapes differ")
-    return np.maximum(lo_pred - truth, truth - hi_pred)
-
-
-def cq_band(lo_pred: np.ndarray, hi_pred: np.ndarray, qfield: QField) -> Band:
-    """Widen the quantile interval by q on each side (one field or a stack)."""
-    lo_pred = np.asarray(lo_pred, dtype=np.float64)
-    hi_pred = np.asarray(hi_pred, dtype=np.float64)
-    _check_stack("cq_band", qfield, lo_pred, hi_pred)
-    return Band(lo_pred - qfield.values, hi_pred + qfield.values)
-
-
-def calibrate_cq(
-    cal_targets: np.ndarray,
-    lo_preds: np.ndarray,
-    hi_preds: np.ndarray,
-    alpha: float,
-    rng: SeededRng,
-    grid: GridSpec,
-    jitter: float = 1e-9,
-) -> QField:
-    """Conformal parameters for a trained quantile-pair baseline."""
-    cal_targets = np.asarray(cal_targets, dtype=np.float64)
-    if len(cal_targets) == 0:
-        raise ValueError("calibration set is empty")
-    q = _jittered_quantile(cq_score(cal_targets, lo_preds, hi_preds), alpha, rng, jitter)
-    # the pair score can be negative everywhere; a negative widening would
-    # shrink the interval, so clamp at zero which keeps the guarantee
-    return QField(np.maximum(q, 0.0), grid, alpha)
 
 
 def save_qfield(qfield: QField, path):

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import conformal as cf
 from . import neuralop as no
 from . import serialio as sio
 from .core import Band, SeededRng, member_map
@@ -48,16 +49,19 @@ class RpMember:
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         out = self.trainable.predict(inputs)
         if self.prior_weight != 0.0:
-            prior_mean = 0.0 if self.prior.norm is None else self.prior.norm.out_mean
-            out = out + self.prior_weight * (self.prior.predict(inputs) - prior_mean)
+            out = out + self._prior_share(inputs)
         return out
 
     def residual_targets(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Targets for the trainable model once the prior's share is removed."""
         if self.prior_weight == 0.0:
             return np.asarray(targets, dtype=np.float64)
+        return targets - self._prior_share(inputs)
+
+    def _prior_share(self, inputs: np.ndarray) -> np.ndarray:
+        """weight * (prior(u) - prior output mean), the prior's part of a prediction."""
         prior_mean = 0.0 if self.prior.norm is None else self.prior.norm.out_mean
-        return targets - self.prior_weight * (self.prior.predict(inputs) - prior_mean)
+        return self.prior_weight * (self.prior.predict(inputs) - prior_mean)
 
 
 @dataclass
@@ -146,7 +150,7 @@ def initial_band(mean: np.ndarray, spread: np.ndarray, z: float = 1.96) -> Band:
     spread = np.asarray(spread, dtype=np.float64)
     if np.any(spread < 0):
         raise ValueError("spread must be non-negative")
-    return Band(mean - z * spread, mean + z * spread)
+    return cf.band(mean, mean, spread, z)
 
 
 # --------------------------------------------------------------------------

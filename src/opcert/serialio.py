@@ -4,12 +4,15 @@ All payloads are little-endian float64 in C order so containers round-trip
 bit-exactly. Each file starts with an 8-byte magic and a u32 version.
 Writers go through `replacing`, so a failed write leaves any previous file
 in place and no partial one behind. Readers go through `reading`, so a
-format error names the file it was found in.
+format error names the file it was found in. A reader checks every
+stored size against the bytes left in the file before it reads, so a
+corrupt size raises FormatError instead of allocating its buffer.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -57,14 +60,20 @@ def reading(path):
             raise FormatError(f"{path}: {exc}") from exc
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    """size bytes from fh; raises before reading if the file holds fewer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(f"truncated {what}: needs {size} bytes, {left} left in the file")
+    return fh.read(size)
+
+
 def write_u32(fh, *values):
     fh.write(struct.pack("<" + "I" * len(values), *values))
 
 
 def read_u32(fh, count=1):
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise FormatError("truncated file while reading integers")
+    raw = _read_exact(fh, 4 * count, "integers")
     vals = struct.unpack("<" + "I" * count, raw)
     return vals[0] if count == 1 else vals
 
@@ -74,9 +83,7 @@ def write_f64(fh, *values):
 
 
 def read_f64(fh, count=1):
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated file while reading floats")
+    raw = _read_exact(fh, 8 * count, "floats")
     vals = struct.unpack("<" + "d" * count, raw)
     return vals[0] if count == 1 else vals
 
@@ -95,10 +102,7 @@ def read_array(fh) -> np.ndarray:
         shape = (read_u32(fh),)
     else:
         shape = tuple(read_u32(fh, ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError("truncated array payload")
+    raw = _read_exact(fh, 8 * math.prod(shape), f"array payload of shape {shape}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
@@ -111,9 +115,7 @@ def write_named_array(fh, name: str, arr: np.ndarray):
 
 def read_named_array(fh):
     name_len = read_u32(fh)
-    raw = fh.read(name_len)
-    if len(raw) != name_len:
-        raise FormatError(f"truncated array name: {len(raw)} of {name_len} bytes")
+    raw = _read_exact(fh, name_len, "array name")
     try:
         name = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -25,7 +25,7 @@ from opcert import datagen as dg
 from opcert import ensemble as ens
 from opcert import neuralop as no
 from opcert import serialio as sio
-from opcert.core import SeededRng
+from opcert.core import GridSpec, SeededRng
 
 # seed 1 draws no sample that the Burgers solver fails on at this size
 TINY = {"n_c": 2, "epochs": 1, "seed": 1, "n_train": 8, "n_calibration": 20,
@@ -110,6 +110,18 @@ def test_failed_coverage_write_keeps_the_previous_file(root, tmp_path, monkeypat
         opcert(*argv)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["coverage.csv"]
+
+
+def test_uncalibrated_quantile_band_keeps_crossed_pairs():
+    # the pair's uncalibrated band is its own interval, whatever --z says:
+    # lo > hi covers nothing, not even truths that lie between the two
+    lo, hi = np.full((4, 16), 1.0), np.full((4, 16), -1.0)
+    truths = np.linspace(-1.0, 1.0, 64).reshape(4, 16)
+    qf = cf.QField(np.full(16, 3.0), GridSpec((16,)), 0.05)
+    cal, unc, nmse = cli._evaluate("qwno", lambda u: (lo, hi, np.ones_like(lo)), qf, None,
+                                   truths, 1.96)
+    assert cal.average == 100.0 and unc.average == 0.0
+    assert nmse == 100.0  # the midpoint of (1, -1) is 0
 
 
 def test_superres_transfers_to_finer_grid(root, tmp_path):

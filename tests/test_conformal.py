@@ -5,37 +5,46 @@ from opcert import conformal as cf
 from opcert.core import Band, GridSpec, SeededRng, ShapeError
 
 
+def rp_score(y, mean, spread):
+    """The ensemble's instance of the interval score: (mean, mean, spread)."""
+    return cf.score(y, mean, mean, spread)
+
+
 class TestScore:
     def test_basic_arithmetic(self):
-        got = cf.score_rp(np.array([2.0]), np.array([1.0]), np.array([0.5]))
+        got = rp_score(np.array([2.0]), np.array([1.0]), np.array([0.5]))
         assert got[0] == pytest.approx(2.0)
 
     def test_zero_at_mean(self):
         y = np.array([1.5, -2.0])
-        assert np.array_equal(cf.score_rp(y, y, np.ones(2)), np.zeros(2))
+        assert np.array_equal(rp_score(y, y, np.ones(2)), np.zeros(2))
 
     def test_matches_scalar_loop(self):
         gen = SeededRng(0).generator()
         y = gen.standard_normal((4, 8))
         mu = gen.standard_normal((4, 8))
         s = np.abs(gen.standard_normal((4, 8))) + 0.1
-        got = cf.score_rp(y, mu, s)
+        got = rp_score(y, mu, s)
         for i in range(4):
             for j in range(8):
                 assert got[i, j] == pytest.approx(abs(y[i, j] - mu[i, j]) / s[i, j], rel=1e-12)
 
     def test_zero_spread_infinite_with_warning(self):
         with pytest.warns(RuntimeWarning, match="zero spread"):
-            got = cf.score_rp(np.array([1.0, 2.0]), np.zeros(2), np.array([0.0, 1.0]))
+            got = rp_score(np.array([1.0, 2.0]), np.zeros(2), np.array([0.0, 1.0]))
         assert np.isinf(got[0]) and got[1] == 2.0
 
     def test_scale_equivariance(self):
         gen = SeededRng(1).generator()
         y, mu = gen.standard_normal(16), gen.standard_normal(16)
         s = np.abs(gen.standard_normal(16)) + 0.1
-        base = cf.score_rp(y, mu, s)
-        scaled = cf.score_rp(3.7 * y, 3.7 * mu, 3.7 * s)
+        base = rp_score(y, mu, s)
+        scaled = rp_score(3.7 * y, 3.7 * mu, 3.7 * s)
         assert np.allclose(base, scaled, rtol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            cf.score(np.zeros(3), np.zeros(3), np.zeros(3), np.ones(4))
 
 
 class TestQuantile:
@@ -83,11 +92,8 @@ class TestCalibrate:
         grid = GridSpec((2,))
         targets = np.tile(np.arange(1.0, 20.0)[:, None], (1, 2))  # scores 1..19
 
-        def predictor(inputs):
-            return np.zeros((19, 2)), np.ones((19, 2))
-
-        qf = cf.calibrate(np.zeros((19, 2)), targets, predictor, 0.05,
-                          SeededRng(6), grid, jitter=0.0)
+        interval = (np.zeros((19, 2)), np.zeros((19, 2)), np.ones((19, 2)))
+        qf = cf.calibrate(targets, interval, 0.05, SeededRng(6), grid, jitter=0.0)
         assert np.allclose(qf.values, 19.0)
 
     def test_matches_per_location_sort_oracle(self):
@@ -98,8 +104,7 @@ class TestCalibrate:
         mean = gen.standard_normal((n, 6))
         spread = np.abs(gen.standard_normal((n, 6))) + 0.2
 
-        qf = cf.calibrate(None, targets, lambda _: (mean, spread), 0.1,
-                          SeededRng(8), grid, jitter=0.0)
+        qf = cf.calibrate(targets, (mean, mean, spread), 0.1, SeededRng(8), grid, jitter=0.0)
         scores = np.abs(targets - mean) / spread
         k = cf.quantile_index(n, 0.1)
         for j in range(6):
@@ -109,19 +114,19 @@ class TestCalibrate:
         gen = SeededRng(9).generator()
         grid = GridSpec((4,))
         targets = gen.standard_normal((30, 4))
-        pred = lambda _: (np.zeros((30, 4)), np.ones((30, 4)))
-        q1 = cf.calibrate(None, targets, pred, 0.05, SeededRng(10), grid)
-        q2 = cf.calibrate(None, targets, pred, 0.05, SeededRng(10), grid)
+        interval = (np.zeros((30, 4)), np.zeros((30, 4)), np.ones((30, 4)))
+        q1 = cf.calibrate(targets, interval, 0.05, SeededRng(10), grid)
+        q2 = cf.calibrate(targets, interval, 0.05, SeededRng(10), grid)
         assert np.array_equal(q1.values, q2.values)
 
     def test_empty_calibration_rejected(self):
         with pytest.raises(ValueError):
-            cf.calibrate(None, np.zeros((0, 4)), lambda _: (0, 0), 0.05,
+            cf.calibrate(np.zeros((0, 4)), (np.zeros((0, 4)),) * 3, 0.05,
                          SeededRng(11), GridSpec((4,)))
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            cf.calibrate(None, np.zeros((5, 3)), lambda _: (np.zeros((5, 3)), np.ones((5, 3))),
+            cf.calibrate(np.zeros((5, 3)), (np.zeros((5, 3)), np.zeros((5, 3)), np.ones((5, 3))),
                          0.05, SeededRng(12), GridSpec((4,)))
 
 
@@ -129,14 +134,14 @@ class TestBand:
     def test_basic(self):
         grid = GridSpec((3,))
         qf = cf.QField(np.full(3, 2.0), grid, 0.05)
-        band = cf.band(np.zeros(3), np.ones(3), qf)
+        band = cf.band(np.zeros(3), np.zeros(3), np.ones(3), qf.values)
         assert np.allclose(band.lower, -2.0)
         assert np.allclose(band.upper, 2.0)
 
     def test_infinite_q_gives_full_line(self):
         grid = GridSpec((2,))
         qf = cf.QField(np.array([1.0, np.inf]), grid, 0.05)
-        band = cf.band(np.zeros(2), np.array([1.0, 0.0]), qf)
+        band = cf.band(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), qf.values)
         assert band.lower[1] == -np.inf and band.upper[1] == np.inf
         assert band.contains(np.array([0.0, 1e300])).all()
 
@@ -146,7 +151,7 @@ class TestBand:
         mu = gen.standard_normal(8)
         s = np.abs(gen.standard_normal(8))
         q = np.abs(gen.standard_normal(8))
-        band = cf.band(mu, s, cf.QField(q, grid, 0.05))
+        band = cf.band(mu, mu, s, cf.QField(q, grid, 0.05).values)
         for j in range(8):
             assert band.lower[j] == pytest.approx(mu[j] - q[j] * s[j], rel=1e-12)
             assert band.upper[j] == pytest.approx(mu[j] + q[j] * s[j], rel=1e-12)
@@ -154,7 +159,7 @@ class TestBand:
     def test_shape_mismatch(self):
         qf = cf.QField(np.ones(3), GridSpec((3,)), 0.05)
         with pytest.raises(ShapeError):
-            cf.band(np.zeros(4), np.ones(4), qf)
+            cf.band(np.zeros(4), np.zeros(4), np.ones(4), qf.values)
 
     def test_stack_equals_per_sample_bands(self):
         # one (B, *grid) band is the per-sample bands stacked, bit for bit
@@ -165,23 +170,24 @@ class TestBand:
         s[1, 2, 3] = 0.0
         q = np.abs(gen.standard_normal((3, 4)))
         q[2, 3] = np.inf
-        qf = cf.QField(q, grid, 0.05)
-        band = cf.band(mu, s, qf)
-        cq = cf.cq_band(mu, mu + s, qf)
+        q = cf.QField(q, grid, 0.05).values
+        band = cf.band(mu, mu, s, q)
+        ones = np.ones_like(mu)
+        cq = cf.band(mu, mu + s, ones, q)
         for i in range(5):
-            one = cf.band(mu[i], s[i], qf)
+            one = cf.band(mu[i], mu[i], s[i], q)
             assert np.array_equal(band.lower[i], one.lower)
             assert np.array_equal(band.upper[i], one.upper)
-            one = cf.cq_band(mu[i], mu[i] + s[i], qf)
+            one = cf.band(mu[i], mu[i] + s[i], ones[i], q)
             assert np.array_equal(cq.lower[i], one.lower)
             assert np.array_equal(cq.upper[i], one.upper)
 
     def test_stack_with_wrong_grid_rejected(self):
         qf = cf.QField(np.ones(3), GridSpec((3,)), 0.05)
         with pytest.raises(ShapeError):
-            cf.band(np.zeros((2, 4)), np.ones((2, 4)), qf)
+            cf.band(np.zeros((2, 4)), np.zeros((2, 4)), np.ones((2, 4)), qf.values)
         with pytest.raises(ShapeError):
-            cf.cq_band(np.zeros((2, 3)), np.ones((3, 3)), qf)
+            cf.band(np.zeros((2, 3)), np.ones((3, 3)), np.ones((2, 3)), qf.values)
 
 
 class TestCoverage:
@@ -226,13 +232,18 @@ class TestCoverage:
         assert cf.coverage_eval(band, np.array([[1.0]])).average == 100.0
 
 
+def pair_score(y, lo, hi):
+    """The quantile pair's instance of the interval score: (lo, hi, 1)."""
+    return cf.score(y, lo, hi, np.ones_like(lo))
+
+
 class TestQuantilePairPath:
     def test_inside_interval_negative_score(self):
-        e = cf.cq_score(np.array([0.5]), np.array([0.0]), np.array([1.0]))
+        e = pair_score(np.array([0.5]), np.array([0.0]), np.array([1.0]))
         assert e[0] == pytest.approx(-0.5)
 
     def test_above_interval(self):
-        e = cf.cq_score(np.array([2.0]), np.array([0.0]), np.array([1.0]))
+        e = pair_score(np.array([2.0]), np.array([0.0]), np.array([1.0]))
         assert e[0] == pytest.approx(1.0)
 
     def test_band_widens_each_side_by_q(self):
@@ -241,7 +252,7 @@ class TestQuantilePairPath:
         lo = gen.standard_normal(5)
         hi = lo + 1.0
         q = np.abs(gen.standard_normal(5))
-        band = cf.cq_band(lo, hi, cf.QField(q, grid, 0.05))
+        band = cf.band(lo, hi, np.ones(5), cf.QField(q, grid, 0.05).values)
         assert np.allclose(band.lower, lo - q)
         assert np.allclose(band.upper, hi + q)
 
@@ -250,8 +261,80 @@ class TestQuantilePairPath:
         targets = np.zeros((30, 2))
         lo = np.full((30, 2), -5.0)  # interval [-5, 5] always covers by far
         hi = np.full((30, 2), 5.0)
-        qf = cf.calibrate_cq(targets, lo, hi, 0.05, SeededRng(17), grid, jitter=0.0)
+        qf = cf.calibrate(targets, (lo, hi, np.ones((30, 2))), 0.05, SeededRng(17), grid,
+                          jitter=0.0)
         assert np.all(qf.values == 0.0)
+
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore:.*zero spread:RuntimeWarning")
+class TestOneIntervalPathOracle:
+    """score, band and calibrate reproduce the former per-kind formulas bit for bit.
+
+    The ensemble is the interval (mean, mean, spread), scored |y - mean| / spread
+    and banded mean -/+ q*spread; the quantile pair is (lo, hi, 1), scored
+    max(lo - y, y - hi) and banded [lo - q, hi + q]. Draws are normal, so no
+    value is a signed zero, where max(-a, a) and |a| could differ in sign.
+    """
+
+    @pytest.fixture(params=[31, 32, 33])
+    def draws(self, request):
+        gen = SeededRng(request.param).generator()
+        shape = (40, 3, 5)
+        y, mean, lo = (gen.standard_normal(shape) for _ in range(3))
+        hi = lo + gen.standard_normal(shape)  # about half of the pairs cross
+        spread = np.abs(gen.standard_normal(shape))
+        spread[gen.random(shape) < 0.1] = 0.0
+        q = np.abs(gen.standard_normal(shape[1:]))
+        q[0, :2] = np.inf
+        return y, mean, spread, lo, hi, q
+
+    @staticmethod
+    def former_rp_score(y, mean, spread):
+        zero = spread == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(zero, np.inf, np.abs(y - mean) / np.where(zero, 1.0, spread))
+
+    def test_scores(self, draws):
+        y, mean, spread, lo, hi, _ = draws
+        rp = self.former_rp_score(y, mean, spread)
+        assert same_bits(cf.score(y, mean, mean, spread), rp)
+        assert same_bits(cf.score(y, lo, hi, np.ones_like(y)), np.maximum(lo - y, y - hi))
+
+    def test_bands(self, draws):
+        _, mean, spread, lo, hi, q = draws
+        with np.errstate(invalid="ignore"):
+            half = q * spread
+        half = np.where(np.isnan(half), np.inf, half)
+        band = cf.band(mean, mean, spread, q)
+        assert same_bits(band.lower, mean - half) and same_bits(band.upper, mean + half)
+        assert np.isinf(band.lower[:, 0, :2]).all() and np.isinf(band.upper[:, 0, :2]).all()
+        ones = np.ones_like(lo)
+        band = cf.band(lo, hi, ones, q)
+        assert same_bits(band.lower, lo - q) and same_bits(band.upper, hi + q)
+        band = cf.band(mean, mean, spread, 1.96)
+        assert same_bits(band.lower, mean - 1.96 * spread)
+        assert same_bits(band.upper, mean + 1.96 * spread)
+        band = cf.band(lo, hi, ones, 0.0)
+        assert same_bits(band.lower, lo) and same_bits(band.upper, hi)
+        assert same_bits(0.5 * (mean + mean), mean)
+
+    def test_calibrate(self, draws):
+        y, mean, spread, lo, hi, _ = draws
+        grid = GridSpec(y.shape[1:])
+        jitter = SeededRng(34).generator().uniform(0.0, 1e-9, size=y.shape)
+        rp = self.former_rp_score(y, mean, spread)
+        pair = np.maximum(lo - y, y - hi)
+        got = cf.calibrate(y, (mean, mean, spread), 0.1, SeededRng(34), grid)
+        assert same_bits(got.values, cf.conformal_quantile(rp + jitter, 0.1))
+        assert np.isinf(got.values).any() and np.isfinite(got.values).any()
+        got = cf.calibrate(y, (lo, hi, np.ones_like(y)), 0.1, SeededRng(34), grid)
+        assert same_bits(got.values, np.maximum(cf.conformal_quantile(pair + jitter, 0.1), 0.0))
 
 
 class TestQFieldContainer:

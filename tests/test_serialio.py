@@ -1,4 +1,9 @@
-"""Every writer replaces its destination whole or leaves it as it was."""
+"""Every writer replaces its destination whole or leaves it as it was, and
+every reader rejects a stored size larger than the file before reading it."""
+
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +36,13 @@ def write_dataset(path, monkeypatch):
     dg.write_dataset(path, "burgers", GridSpec((8,)), np.ones((2, 8)), np.zeros((2, 8)))
 
 
+def tiny_model():
+    return no.WnoModel.initialize(no.WnoConfig(grid=GridSpec((16,)), width=4, layers=1,
+                                               levels=1), SeededRng(0))
+
+
 def save_model(path, monkeypatch):
-    model = no.WnoModel.initialize(no.WnoConfig(grid=GridSpec((16,)), width=4, layers=1,
-                                                levels=1), SeededRng(0))
+    model = tiny_model()
     fail_on_array(monkeypatch)
     no.save_model(model, path)
 
@@ -75,3 +84,25 @@ def test_successful_write_replaces_previous_file(tmp_path):
     sio.write_manifest(path, {"kind": "darcy", "resolution": 8})
     assert list(tmp_path.iterdir()) == [path]
     assert sio.read_manifest(path) == {"kind": "darcy", "resolution": "8"}
+
+
+@pytest.mark.parametrize("offset, value", [
+    (16, 1 << 24),  # the first dimension of layer0.b: a 128 MB payload
+    (0, (1 << 32) - 1),  # the name length of layer0.b
+])
+def test_corrupt_size_raises_before_reading(tmp_path, offset, value):
+    path = tmp_path / "member_000.ckpt"
+    no.save_model(tiny_model(), path)
+    data = bytearray(path.read_bytes())
+    # layout: u32 name length, name, u32 ndim, u32 dims
+    at = data.index(struct.pack("<I", 8) + b"layer0.b") + offset
+    data[at:at + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(sio.FormatError, match=re.escape(str(path))):
+            no.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -77,10 +77,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self.resolution
 
-    @property
-    def num_points(self) -> int:
-        return int(np.prod(self.resolution))
-
 
 def normalized_axes(grid: GridSpec) -> list[np.ndarray]:
     """Per-dimension coordinates i/(resolution-1) in [0,1]; needs resolution >= 2."""

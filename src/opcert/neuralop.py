@@ -133,9 +133,6 @@ class WnoModel:
         for par in self.params.values():
             par.zero_grad()
 
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([self.params[k].value.ravel() for k in sorted(self.params)])
-
     def set_normalization(self, inputs: np.ndarray, targets: np.ndarray):
         self.norm = NormStats(
             float(np.mean(inputs)),
@@ -381,8 +378,8 @@ def load_model(path) -> WnoModel:
             width=width,
             layers=layers,
             levels=levels,
-            wavelet=_WAVELET_NAMES[wid],
-            activation=_ACTIVATION_NAMES[aid],
+            wavelet=sio.lookup_id(_WAVELET_NAMES, wid, "wavelet"),
+            activation=sio.lookup_id(_ACTIVATION_NAMES, aid, "activation"),
             proj_hidden=proj_hidden,
             in_channels=in_ch,
             surrogate_slope=slope,

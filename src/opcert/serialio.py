@@ -78,6 +78,14 @@ def read_u32(fh, count=1):
     return vals[0] if count == 1 else vals
 
 
+def lookup_id(names: dict, stored: int, what: str):
+    """names[stored]; an id the format does not define raises FormatError."""
+    try:
+        return names[stored]
+    except KeyError:
+        raise FormatError(f"unknown {what} id {stored}") from None
+
+
 def write_f64(fh, *values):
     fh.write(struct.pack("<" + "d" * len(values), *values))
 

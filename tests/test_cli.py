@@ -13,7 +13,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from opcert import neuralop as no
 from opcert import serialio as sio
 from opcert.core import GridSpec, SeededRng
 
-# seed 1 draws no sample that the Burgers solver fails on at this size
 TINY = {"n_c": 2, "epochs": 1, "seed": 1, "n_train": 8, "n_calibration": 20,
         "n_test": 4, "resolution": 16, "solver_resolution": 64}
 SLF_BETA = 0.1  # rp-vswno trains on the spike-penalized loss
@@ -39,9 +37,7 @@ def write_config(path, **entries):
 
 
 def opcert(*argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # per-step solver stability warnings
-        return cli.main([str(a) for a in argv])
+    return cli.main([str(a) for a in argv])
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +231,42 @@ def test_old_checkpoint_format_exits_3(root, tmp_path, capsys):
         assert str(ckpt / "member_000.ckpt") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["wavelet", "activation"])
+def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
+    # the header's u32s after the magic and the version: width, layers,
+    # levels, then the wavelet and the activation ids
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(root / "rp-wno", ckpt)
+    path = ckpt / "member_000.ckpt"
+    raw = path.read_bytes()
+    at = 24 if field == "wavelet" else 28
+    path.write_bytes(raw[:at] + struct.pack("<I", 99) + raw[at + 4:])
+    assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
+                  "--out", tmp_path / "q.qfield") == 3
+    err = capsys.readouterr().err
+    assert f"unknown {field} id 99" in err and str(path) in err
+
+
+@pytest.mark.parametrize("case", ["kind", "empty"])
+def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    path = data / "calibration.opdata"
+    if case == "kind":  # the kind id follows the magic and the version
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + struct.pack("<I", 99) + raw[16:])
+    else:
+        with sio.replacing(path) as fh:
+            sio.start_file(fh, sio.DATASET_MAGIC)
+            sio.write_u32(fh, dg.DATASET_KINDS["burgers"])
+            sio.write_grid(fh, GridSpec((16,)))
+            sio.write_u32(fh, 0)
+    assert opcert("calibrate", "--ckpt", root / "rp-wno", "--data", data,
+                  "--out", tmp_path / "q.qfield") == 3
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "q.qfield").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_c", None), ("prior_weight", None), ("seed_streams", None),
     ("n_c", "two"), ("prior_weight", "heavy"), ("seed_streams", "1,x"),
@@ -275,13 +307,30 @@ def test_superres_with_infinite_q_exits_6(root, tmp_path, capsys):
     assert not (tmp_path / "cov.csv").exists()
 
 
-def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys):
-    # the default physics at seed 0 blows up on calibration sample 6, after
-    # the train split has been drawn
+def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys, monkeypatch):
+    # a NaN initial condition for calibration sample 6 only, drawn after the
+    # train split; the solver's own blow-up check rejects it
+    failing = SeededRng(0).substream(dg.SPLIT_STREAM_BASE["calibration"] + 6)
+    draw = dg.grf_coefficients
+
+    def coefficients(spec, rng):
+        coeff = draw(spec, rng)
+        return np.full_like(coeff, np.nan) if rng == failing else coeff
+
+    monkeypatch.setattr(dg, "grf_coefficients", coefficients)
     cfg = write_config(tmp_path / "run.cfg", seed=0, n_train=1, n_calibration=7, n_test=1)
     assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 8
     assert "calibration[6]" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.opdata"))
+
+
+def test_default_physics_solves_every_draw(tmp_path):
+    # calibration[6] at seed 0 blew up under the Crank-Nicolson/AB2 step
+    cfg = write_config(tmp_path / "run.cfg", seed=0, n_train=1, n_calibration=7, n_test=1)
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 0
+    _, _, inputs, outputs = dg.read_dataset(tmp_path / "data" / "calibration.opdata")
+    assert inputs.shape == outputs.shape == (7, 128)
+    assert np.all(np.isfinite(outputs))
 
 
 # --------------------------------------------------------------------------

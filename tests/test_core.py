@@ -25,7 +25,6 @@ class TestGridSpec:
         g = GridSpec((16,))
         assert g.dims == 1
         assert g.extent == ((0.0, 1.0),)
-        assert g.num_points == 16
 
     def test_rejects_bad_dims(self):
         with pytest.raises(GridError):

@@ -105,23 +105,71 @@ class TestBurgersSolver:
             dg.solve_burgers(np.zeros(100), dg.BurgersConfig(solver_resolution=128,
                                                              output_resolution=64))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"t_final": -1.0}, {"t_final": 0.0}, {"t_final": float("inf")},
+        {"dt": 0.3}, {"dt": 2.0}, {"dt": 0.4, "t_final": 1.0},
+    ])
+    def test_time_grid_must_reach_t_final(self, kwargs):
+        # dt = 0.3 used to stop at t = 0.9, and t_final = -1 returned u0
+        with pytest.raises(ValueError, match="t_final"):
+            dg.BurgersConfig(**kwargs)
 
-def four_call_solve_burgers(u0, config):
-    """The integrating-factor step with one transform per use, as an oracle."""
+    def test_steps_divide_t_final(self):
+        assert dg.BurgersConfig().steps == 100
+        assert dg.BurgersConfig(dt=1 / 3).steps == 3
+        assert dg.BurgersConfig(dt=0.1, t_final=0.3).steps == 3
+
+
+def plain_solve_burgers(u0, config):
+    """The IF-AB3 solve with one transform per use and no buffers, as an oracle."""
     u0 = np.asarray(u0, dtype=np.float64)
     n = config.solver_resolution
-    nu, dt = config.viscosity, config.dt
-    steps = int(round(config.t_final / dt))
-    k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers
+    dt = config.dt
+    k = np.fft.rfftfreq(n, d=1.0 / n)
     ik = 2j * np.pi * k
     dealias = k <= n / 3.0
-    decay = np.exp(-dt * nu * (2.0 * np.pi * k) ** 2)
-    u_hat = np.fft.rfft(u0)
-    prev = None
-    for step in range(steps):
-        umax = float(np.max(np.abs(np.fft.irfft(u_hat, n=n))))
+    diffusion = -config.viscosity * (2.0 * np.pi * k) ** 2
+    half, decay = np.exp(0.5 * dt * diffusion), np.exp(dt * diffusion)
+
+    def advection(v_hat, step):
+        umax = float(np.max(np.abs(np.fft.irfft(v_hat, n=n))))
         if not np.isfinite(umax) or umax > 1e6:
             raise dg.SolverError(f"blow-up at step {step} (|u| = {umax:.3g})")
+        u = np.fft.irfft(v_hat, n=n)
+        ux = np.fft.irfft(ik * v_hat, n=n)
+        return -np.fft.rfft(u * ux) * dealias
+
+    u_hat = np.fft.rfft(u0)
+    history = []
+    for step in range(config.steps):
+        now = advection(u_hat, step)
+        if step < 2:  # integrating-factor (Lawson) RK4
+            b = advection(half * (u_hat + 0.5 * dt * now), step)
+            c = advection(half * u_hat + 0.5 * dt * b, step)
+            d = advection(decay * u_hat + dt * half * c, step)
+            u_hat = decay * u_hat + dt / 6 * (decay * now + 2 * half * (b + c) + d)
+        else:  # integrating-factor AB3
+            u_hat = (decay * u_hat + (dt * 23 / 12) * decay * now
+                     + (-dt * 16 / 12) * decay**2 * history[-1]
+                     + (dt * 5 / 12) * decay**3 * history[-2])
+        history.append(now)
+    u_final = np.fft.irfft(u_hat, n=n)
+    if not np.all(np.isfinite(u_final)):
+        raise dg.SolverError(f"non-finite solution after {config.steps} steps")
+    return u_final[:: n // config.output_resolution]
+
+
+def if_ab2_solve_burgers(u0, config):
+    """The integrating-factor AB2 solve that IF-AB3 replaced, as an accuracy yardstick."""
+    n = config.solver_resolution
+    dt = config.dt
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    ik = 2j * np.pi * k
+    dealias = k <= n / 3.0
+    decay = np.exp(-dt * config.viscosity * (2.0 * np.pi * k) ** 2)
+    u_hat = np.fft.rfft(u0)
+    prev = None
+    for step in range(config.steps):
         u = np.fft.irfft(u_hat, n=n)
         ux = np.fft.irfft(ik * u_hat, n=n)
         cur = np.fft.rfft(u * ux) * dealias
@@ -129,10 +177,7 @@ def four_call_solve_burgers(u0, config):
         adv = cur if step == 0 else 1.5 * cur - 0.5 * decay * prev
         u_hat = decay * (u_hat - dt * adv)
         prev = cur
-    u_final = np.fft.irfft(u_hat, n=n)
-    if not np.all(np.isfinite(u_final)):
-        raise dg.SolverError(f"non-finite solution after {steps} steps")
-    return u_final[:: n // config.output_resolution]
+    return np.fft.irfft(u_hat, n=n)[:: n // config.output_resolution]
 
 
 def uncached_grf_evaluate(spec, coeff, points):
@@ -158,14 +203,31 @@ def split_draw(split, i, n, seed=0):
 
 
 class TestTwoCallStep:
-    """The two-transform step reproduces the four-call step bit for bit."""
+    """The two-transform evaluation reproduces the plain IF-AB3 solve bit for bit."""
 
     @pytest.mark.parametrize("n, out", [(64, 16), (512, 128), (1024, 1024)])
     def test_grf_draws_match_oracle(self, n, out):
         cfg = dg.BurgersConfig(solver_resolution=n, output_resolution=out)
         for i in range(3):
             u0 = split_draw("calibration", i, n)
-            assert np.array_equal(dg.solve_burgers(u0, cfg), four_call_solve_burgers(u0, cfg))
+            assert np.array_equal(dg.solve_burgers(u0, cfg), plain_solve_burgers(u0, cfg))
+
+    def test_transform_calls_per_default_solve(self, monkeypatch):
+        # two calls per advection evaluation (4 + 4 RK4 start-up, 98 AB3),
+        # plus the first forward and the last inverse transform
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        cfg = dg.BurgersConfig()
+        dg.solve_burgers(split_draw("train", 0, cfg.solver_resolution), cfg)
+        assert len(calls) <= 2 * (cfg.steps + 6) + 2
 
 
 class TestDefaultDraws:
@@ -179,7 +241,11 @@ class TestDefaultDraws:
         u0 = split_draw(split, i, cfg.solver_resolution, seed)
         got = dg.solve_burgers(u0, cfg)
         ref = dg.solve_burgers(u0, dg.BurgersConfig(dt=cfg.dt / 10))
-        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-3
+        err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        # no less accurate than IF-AB2 at half the step, which takes 200 steps
+        ab2 = if_ab2_solve_burgers(u0, dg.BurgersConfig(dt=1 / 200))
+        assert err < 1e-3
+        assert err <= np.linalg.norm(ab2 - ref) / np.linalg.norm(ref)
 
 
 class TestGrfBasisCache:

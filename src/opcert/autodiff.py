@@ -19,8 +19,9 @@ a node once its last consumer is built, so that a step holds only the
 arrays some closure reads, each for as long as that closure lives.
 Reading a released value raises GraphError; every other value stays
 readable after the backward (in the operator: the output, the loss and
-the spike gates). gelu's closure writes its gradient over the cdf it
-keeps, so it runs once, and a second call raises GraphError.
+the spike gates). gelu's and projection's closures write their gradients
+over the cdf they keep, so each runs once, and a second call raises
+GraphError.
 
 The wavelet ops act on the coarsest approximation only. `dwt1d` returns
 A v for the level-L approximation analysis A of `wavelet.lowpass_pair`
@@ -37,16 +38,21 @@ no exp and holds no derivative array. Its kernels work in place: the
 forward fills new cdf and x * cdf arrays, the backward writes
 g * (cdf + x * pdf) over cdf through a small per-block temporary. Each
 element goes through the same ufuncs in the same order as the one-shot
-formula, so the results are bitwise equal to it.
+formula, so the results are bitwise equal to it. `projection` fuses the
+operator's head, affine -> gelu -> affine, with the same kernels over
+blocks of rows: of its wide hidden arrays it keeps only the cdf, and its
+backward recomputes each block's gelu input from the narrow one.
 
 The per-sample work of a step runs on two cores through `core.halves`:
-the gelu kernels over flat halves of their arrays, and the matmuls of
+the gelu kernels over flat halves of their arrays, the matmuls of
 `affine`, `conv1x1` (forward and input gradient) and the wavelet
-analysis and synthesis over halves of the batch axis. Each half makes
-the same per-element ufunc or per-sample BLAS calls as the whole, so
-the results do not depend on the split. Weight-gradient reductions, the
-bias sums and the losses stay whole: splitting them would change their
-summation order. Only private kernels run on the helper thread.
+analysis and synthesis over halves of the batch axis, and `projection`
+over halves of its blocks. Each half makes the same per-element ufunc or
+per-sample BLAS calls as the whole, so the results do not depend on the
+split. The other weight-gradient reductions, bias sums and losses stay
+whole: splitting them would change their summation order. `projection`
+sums one partial per block instead, in block order, whatever the split.
+Only private kernels run on the helper thread.
 
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate for the
@@ -215,23 +221,37 @@ def layer_sum(a: Node, b: Node, bias: Node) -> Node:
 # The gelu kernels apply, in place and in this order, the one-shot formulas
 #   cdf = 0.5 * (1 + erf(x / sqrt2)),   value = x * cdf,
 #   g * (cdf + x * (c * exp((-0.5 * x) * x))),   c = 1 / sqrt(2 pi).
-# Both run over flat halves of their arrays.
+# `gelu` runs them over flat halves of its arrays, `projection` per block.
 _GELU_BLOCK = 2**16  # elements of the slope kernel's per-block temporary
+_PROJECTION_ROWS = 512  # rows of one sample per block of `projection`
+
+
+def _cdf_value_kernel(x, cdf, value):
+    """Fill cdf and value (which may be x itself) with gelu's cdf and x * cdf."""
+    c = np.divide(x, _SQRT2, out=cdf)
+    erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    np.multiply(x, c, out=value)
+
+
+def _slope_kernel(x, cdf, tmp, g=None):
+    """Write gelu'(x), times g when given, over cdf; tmp is scratch of x's shape."""
+    t = np.multiply(x, -0.5, out=tmp)
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI
+    t *= x
+    cdf += t
+    if g is not None:
+        cdf *= g
 
 
 def _gelu_cdf_value(x: np.ndarray):
     """(cdf, x * cdf) of the erf-based gelu."""
     cdf, value = np.empty(x.shape), np.empty(x.shape)
     xf, cf, vf = np.ravel(x), cdf.reshape(-1), value.reshape(-1)
-
-    def kernel(s):
-        c = np.divide(xf[s], _SQRT2, out=cf[s])
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(xf[s], c, out=vf[s])
-
-    halves(kernel, xf.size)
+    halves(lambda s: _cdf_value_kernel(xf[s], cf[s], vf[s]), xf.size)
     return cdf, value
 
 
@@ -247,14 +267,7 @@ def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
         tmp = np.empty(min(_GELU_BLOCK, s.stop - s.start))
         for lo in range(s.start, s.stop, _GELU_BLOCK):
             b = slice(lo, min(lo + _GELU_BLOCK, s.stop))
-            t = np.multiply(xf[b], -0.5, out=tmp[: b.stop - lo])
-            t *= xf[b]
-            np.exp(t, out=t)
-            t *= _INV_SQRT_2PI
-            t *= xf[b]
-            cf[b] += t
-            if gf is not None:
-                cf[b] *= gf[b]
+            _slope_kernel(xf[b], cf[b], tmp[: b.stop - lo], None if gf is None else gf[b])
 
     halves(kernel, xf.size)
     return cdf
@@ -284,6 +297,95 @@ def gelu(x: Node) -> Node:
         return slope
 
     return Node(value, (x,), (grad,))
+
+
+def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+    """gelu(x @ w1 + b1) @ w2 + b2 for x (..., N, C), w1 (C, H), w2 (H, O).
+
+    The op works over blocks of at most _PROJECTION_ROWS rows of one
+    sample, run through `halves`, and keeps only gelu's (rows, H) cdf for
+    the backward, which recomputes each block's x @ w1 + b1 and never
+    erf. Blocks never straddle samples and split one at multiples of
+    _PROJECTION_ROWS, so OpenBLAS groups each row as in `affine`'s
+    per-sample calls: the values and the input gradient are bitwise those
+    of affine -> gelu -> affine. Each block writes its own partial weight
+    and bias gradients, summed in block order, so they do not depend on
+    the split. The first closure to run forms all five gradients; each
+    closure runs once, and a second call raises GraphError.
+    """
+    xv, w1v, b1v, w2v, b2v = (n.value for n in (x, w1, b1, w2, b2))
+    if w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1:] != w1v.shape[:1] or (
+            b1v.shape != w1v.shape[1:] or w2v.shape[0] != w1v.shape[1]
+            or b2v.shape != w2v.shape[1:]):
+        raise ShapeError(
+            f"projection: x {xv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, w2 {w2v.shape}, "
+            f"b2 {b2v.shape} incompatible"
+        )
+    ch, hidden = w1v.shape
+    xr = xv.reshape(-1, ch)
+    n, rows = len(xr), xv.shape[-2] if xv.ndim > 1 else 1
+    step = min(rows, _PROJECTION_ROWS)
+    blocks = [slice(lo, min(lo + step, end)) for end in range(rows, n + 1, max(rows, 1))
+              for lo in range(end - rows, end, step)]
+    cdf, out = np.empty((n, hidden)), np.empty((n, w2v.shape[1]))
+
+    def hidden_in(r, buf):
+        """x @ w1 + b1 on rows r, into buf."""
+        h = np.matmul(xr[r], w1v, out=buf[: r.stop - r.start])
+        h += b1v
+        return h
+
+    def forward(s):
+        buf = np.empty((step, hidden))
+        for r in blocks[s]:
+            h = hidden_in(r, buf)
+            _cdf_value_kernel(h, cdf[r], h)
+            np.matmul(h, w2v, out=out[r])
+            out[r] += b2v
+
+    halves(forward, len(blocks), step * hidden)
+    grads = []
+
+    def backward(g):
+        gr = np.reshape(g, (n, -1))
+        dx = np.empty(xr.shape)
+        parts = [np.empty((len(blocks),) + p.shape) for p in (w1v, b1v, w2v, b2v)]
+
+        def kernel(s):
+            hbuf, tbuf = np.empty((step, hidden)), np.empty((step, hidden))
+            for i in range(s.start, s.stop):
+                r = blocks[i]
+                h, c = hidden_in(r, hbuf), cdf[r]
+                t = np.multiply(h, c, out=tbuf[: r.stop - r.start])  # gelu's value
+                np.matmul(t.T, gr[r], out=parts[2][i])
+                gr[r].sum(axis=0, out=parts[3][i])
+                _slope_kernel(h, c, t)
+                c *= np.matmul(gr[r], w2v.T, out=t)
+                np.matmul(c, w1v.T, out=dx[r])
+                np.matmul(xr[r].T, c, out=parts[0][i])
+                c.sum(axis=0, out=parts[1][i])
+
+        halves(kernel, len(blocks), step * hidden)
+        for p in parts:
+            for i in range(1, len(blocks)):
+                p[0] += p[i]
+        return [dx.reshape(xv.shape)] + [p[0] for p in parts]
+
+    def grad(k):
+        def fn(g):
+            nonlocal cdf
+            if cdf is not None:
+                grads.extend(backward(g))
+                cdf = None
+            if grads[k] is None:
+                raise GraphError(f"projection's gradient {k} was already taken")
+            taken, grads[k] = grads[k], None
+            return taken
+
+        return fn
+
+    return Node(out.reshape(xv.shape[:-1] + out.shape[1:]), (x, w1, b1, w2, b2),
+                tuple(grad(k) for k in range(5)))
 
 
 def sum_all(x: Node) -> Node:

@@ -44,6 +44,9 @@ class QField:
             raise ShapeError(
                 f"q values {self.values.shape} do not match grid {self.grid.shape}"
             )
+        nan = np.count_nonzero(np.isnan(self.values))
+        if nan:
+            raise ValueError(f"{nan} of {self.values.size} conformal parameters are NaN")
         if np.any(self.values < 0):
             raise ValueError("conformal parameters must be non-negative")
 
@@ -215,4 +218,7 @@ def load_qfield(path) -> QField:
         grid = sio.read_grid(fh)
         alpha = sio.read_f64(fh)
         values = sio.read_array(fh)
-    return QField(values, grid, alpha)
+        try:
+            return QField(values, grid, alpha)
+        except ValueError as exc:  # NaN, negative or off-grid values
+            raise sio.FormatError(str(exc)) from exc

@@ -363,9 +363,13 @@ def read_dataset(path):
         if count < 1:
             raise sio.FormatError("dataset holds no samples")
         inputs, outputs = [], []
-        for _ in range(count):
-            inputs.append(sio.read_array(fh))
-            outputs.append(sio.read_array(fh))
+        for i in range(count):
+            for name, arrays in (("input", inputs), ("output", outputs)):
+                arrays.append(sio.read_array(fh))
+                if arrays[-1].shape != grid.shape:
+                    raise sio.FormatError(
+                        f"sample {i} {name} has shape {arrays[-1].shape}, the grid {grid.shape}"
+                    )
     return kind, grid, np.stack(inputs), np.stack(outputs)
 
 

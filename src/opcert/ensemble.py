@@ -15,7 +15,7 @@ each of its steps runs on both cores (`neuralop.train`, through
 `core.halves`). Training the members side by side on the pool is about
 as fast, but every member's graph and Adam state are then live at once:
 the darcy-32 train command (20 samples, 4 members, 2 epochs) peaks at
-about 233 MB pooled, against 145 MB one member at a time.
+160-170 MB pooled, against 110 MB one member at a time.
 """
 
 from __future__ import annotations

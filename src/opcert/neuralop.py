@@ -185,7 +185,9 @@ class WnoModel:
         nodes per layer; empty for continuous activations). Interior
         values that no gradient closure reads are released as soon as
         their consumers are built (`ad.release`): each layer's synthesis,
-        skip-sum and 1x1-conv outputs, and the projection's hidden values.
+        skip-sum and 1x1-conv outputs, and an identity model's projection
+        hidden value. gelu and vsn models run the projection as one
+        `ad.projection`, which keeps only gelu's (B, N, proj_hidden) cdf.
         """
         cfg = self.config
         x = np.asarray(inputs, dtype=np.float64)
@@ -218,10 +220,12 @@ class WnoModel:
             else:
                 v, gate = ad.vsn(z, self.params[f"layer{i}.th"], slope=cfg.surrogate_slope)
                 gates.append(gate)
-        h1 = ad.affine(v, self.params["proj1.w"], self.params["proj1.b"])
-        h = h1 if cfg.activation == "identity" else ad.gelu(h1)
-        out = ad.affine(h, self.params["proj2.w"], self.params["proj2.b"])
-        ad.release(h1, h)
+        head = [self.params[name] for name in ("proj1.w", "proj1.b", "proj2.w", "proj2.b")]
+        if cfg.activation != "identity":
+            return ad.projection(v, *head), gates
+        h = ad.affine(v, *head[:2])
+        out = ad.affine(h, *head[2:])
+        ad.release(h)
         return out, gates
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -455,9 +459,9 @@ def train(
     change any result. One step's graph is live at a time: `ad.backward`
     frees a step's graph as it goes, before the next forward builds one.
     A step keeps only what its backward reads (`forward_nodes` releases
-    the rest), so at its peak, the projection's gelu backward, it holds
-    three (B, N, proj_hidden) arrays: that gelu's input, the cdf its
-    gradient is written over and the incoming gradient.
+    the rest). The projection (`ad.projection`) keeps one (B, N,
+    proj_hidden) array, gelu's cdf, and works block by block otherwise,
+    so a step's peak is that array plus the layers' width-sized arrays.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

@@ -395,6 +395,93 @@ class TestInPlaceKernels:
         assert np.array_equal(dth, (g * (-surr)).sum(axis=(0, 1)))
 
 
+HEAD_NAMES = ("x", "w1", "b1", "w2", "b2")
+
+
+def unfused_head(x, w1, b1, w2, b2):
+    return ad.affine(ad.gelu(ad.affine(x, w1, b1)), w2, b2)
+
+
+def head_values(shape, hidden=128, out=1, seed=70):
+    """Values for x, w1, b1, w2, b2 and an output weight g."""
+    gen = np.random.default_rng(seed)
+    ch = shape[-1]
+    values = [gen.standard_normal(shape) * 2.0, gen.standard_normal((ch, hidden)) * 0.5,
+              gen.standard_normal(hidden), gen.standard_normal((hidden, out)) * 0.5,
+              gen.standard_normal(out)]
+    return values, gen.standard_normal(shape[:-1] + (out,))
+
+
+def head_results(op, values, g):
+    """op's value and the five gradients of sum(op(...) * g)."""
+    params = [ad.Parameter(v.copy(), name) for v, name in zip(values, HEAD_NAMES)]
+    out = op(*params)
+    value = out.value.copy()
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    return [value] + [p.grad for p in params]
+
+
+class TestProjection:
+    """The fused head against affine -> gelu -> affine."""
+
+    @pytest.mark.parametrize("shape, rows", [
+        ((2, 24, 3), None), ((2, 24, 3), 5),  # 1D grid; five-row blocks
+        ((2, 6 * 5, 3), None), ((2, 6 * 5, 3), 7),  # a 6-by-5 grid, flattened
+    ])
+    def test_matches_fd(self, monkeypatch, shape, rows):
+        if rows is not None:
+            monkeypatch.setattr(ad, "_PROJECTION_ROWS", rows)
+        values, g = head_values(shape, hidden=6, out=2)
+        params = [ad.Parameter(v, name) for v, name in zip(values, HEAD_NAMES)]
+
+        def closure():
+            out = ad.projection(*params)
+            return ad.mean_all(ad.mul(out, out))
+
+        errors = grad_check(closure, params, eps=1e-5, samples=20)
+        assert set(errors) == set(HEAD_NAMES) and max(errors.values()) < 1e-6
+
+    @pytest.mark.parametrize("shape, hidden, out", [
+        ((3, 1024, 16), 128, 1), ((4, 85, 16), 128, 1), ((2, 32 * 32, 16), 128, 1),
+        ((5, 77, 5), 13, 3), ((1, 600, 16), 128, 1), ((9, 16), 7, 1),
+    ])
+    def test_matches_unfused_chain(self, shape, hidden, out):
+        # value and input gradient bit for bit; the weight and bias
+        # gradients are summed per block, so only their order differs
+        values, g = head_values(shape, hidden, out)
+        fused = head_results(ad.projection, values, g)
+        plain = head_results(unfused_head, values, g)
+        for a, b in zip(fused[:2], plain[:2]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        for a, b in zip(fused[2:], plain[2:]):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("shape, splits", [
+        ((21, 1024, 16), True), ((5, 128, 16), True), ((1, 100, 16), False),
+    ])
+    def test_one_cpu_equals_two(self, on_cpus, shape, splits):
+        values, g = head_values(shape)
+        split_equals_whole(on_cpus, lambda: head_results(ad.projection, values, g), splits)
+
+    def test_gradients_form_once(self):
+        values, g = head_values((2, 8, 3), hidden=4)
+        node = ad.projection(*(ad.constant(v) for v in values))
+        grads = [fn(g) for fn in reversed(node.grad_fns)]
+        assert [a.shape for a in grads] == [v.shape for v in reversed(values)]
+        for fn in node.grad_fns:
+            with pytest.raises(ad.GraphError):
+                fn(g)
+
+    def test_shape_checks(self):
+        values, _ = head_values((2, 8, 3), hidden=4, out=2)
+        for i, bad in ((0, np.zeros((2, 8, 4))), (2, np.zeros(5)), (3, np.zeros((5, 2))),
+                       (4, np.zeros(3)), (3, np.zeros(4))):
+            args = [ad.constant(bad if j == i else v) for j, v in enumerate(values)]
+            with pytest.raises(ShapeError):
+                ad.projection(*args)
+
+
 def bias_add_oracle(x, b):
     """The former per-channel bias node, applied after ad.add."""
     lead = tuple(range(x.value.ndim - 1))

@@ -247,11 +247,13 @@ def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
     assert f"unknown {field} id 99" in err and str(path) in err
 
 
-@pytest.mark.parametrize("case", ["kind", "empty"])
+@pytest.mark.parametrize("case", ["kind", "empty", "grid", "mixed"])
 def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
     path = data / "calibration.opdata"
+    # sample shapes on a 16-point grid: none, all off the grid, or one off it
+    shapes = {"empty": [], "grid": [(8,), (8,)], "mixed": [(16,), (8,)]}.get(case)
     if case == "kind":  # the kind id follows the magic and the version
         raw = path.read_bytes()
         path.write_bytes(raw[:12] + struct.pack("<I", 99) + raw[16:])
@@ -260,11 +262,35 @@ def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
             sio.start_file(fh, sio.DATASET_MAGIC)
             sio.write_u32(fh, dg.DATASET_KINDS["burgers"])
             sio.write_grid(fh, GridSpec((16,)))
-            sio.write_u32(fh, 0)
+            sio.write_u32(fh, len(shapes))
+            for shape in shapes:
+                sio.write_array(fh, np.zeros(shape))
+                sio.write_array(fh, np.zeros(shape))
     assert opcert("calibrate", "--ckpt", root / "rp-wno", "--data", data,
                   "--out", tmp_path / "q.qfield") == 3
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if shapes:
+        assert f"sample {1 if case == 'mixed' else 0} input has shape (8,)" in err
     assert not (tmp_path / "q.qfield").exists()
+
+
+def test_nan_qfield_exits_3(root, tmp_path, capsys):
+    # a NaN q used to widen its location's band to the whole line
+    qf = cf.load_qfield(root / "rp-wno" / "q.qfield")
+    values = qf.values.copy()
+    values[[1, 5]] = np.nan
+    path = tmp_path / "q.qfield"
+    with sio.replacing(path) as fh:  # the layout of cf.save_qfield, unchecked
+        sio.start_file(fh, sio.QFIELD_MAGIC)
+        sio.write_grid(fh, qf.grid)
+        sio.write_f64(fh, qf.alpha)
+        sio.write_array(fh, values)
+    assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", path,
+                  "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "2 of 16 conformal parameters are NaN" in err
+    assert not (tmp_path / "coverage.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [

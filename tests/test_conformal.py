@@ -346,6 +346,11 @@ class TestQFieldContainer:
         with pytest.raises(ValueError):
             cf.QField(np.array([-0.1, 1.0]), GridSpec((2,)), 0.05)
 
+    def test_nan_rejected(self):
+        # a NaN half-width became an infinite band, read as 100% coverage
+        with pytest.raises(ValueError, match="2 of 5 conformal parameters are NaN"):
+            cf.QField(np.array([1.0, np.nan, 1.0, np.nan, 1.0]), GridSpec((5,)), 0.05)
+
     def test_serialization_roundtrip(self, tmp_path):
         grid = GridSpec((4, 4))
         values = np.abs(SeededRng(18).generator().standard_normal((4, 4)))

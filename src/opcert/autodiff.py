@@ -19,18 +19,20 @@ a node once its last consumer is built, so that a step holds only the
 arrays some closure reads, each for as long as that closure lives.
 Reading a released value raises GraphError; every other value stays
 readable after the backward (in the operator: the output, the loss and
-the spike gates). gelu's and projection's closures write their gradients
-over the cdf they keep, so each runs once, and a second call raises
-GraphError.
+the spike gates). gelu's, projection's and vsn's closures write their
+gradients over the cdf they keep, so each runs once, and a second call
+raises GraphError.
 
-The wavelet ops act on the coarsest approximation only. `dwt1d` returns
-A v for the level-L approximation analysis A of `wavelet.lowpass_pair`
-(its backward is A^T g), `idwt1d` is the matching synthesis, and
-`wavelet_scale` gives a @ r - a. Because A^T A projects onto V_L and the
-details pass through unchanged, the full transform-mix-inverse of a layer
-equals v + idwt1d(wavelet_scale(dwt1d(v), r)). Symmetric padding of grids
-that 2^L does not divide is folded into the pair; `dwt2d`/`idwt2d` apply
-it separably along H and W.
+The wavelet ops act on the coarsest approximation only and apply the
+matrices they are given, the (analysis, synthesis) pair of
+`wavelet.lowpass_pair` for each grid axis. `dwt1d` returns A v for the
+level-L approximation analysis A (its backward is A^T g), `idwt1d` applies
+the matching synthesis, and `wavelet_scale` gives a @ r - a. Because
+A^T A projects onto V_L and the details pass through unchanged, the full
+transform-mix-inverse of a layer equals
+v + idwt1d(wavelet_scale(dwt1d(v), r)). `dwt2d`/`idwt2d` apply one matrix
+along H and one along W. How a grid's boundary enters the pair (symmetric
+padding of a grid that 2^L does not divide) is decided in `wavelet` alone.
 
 gelu keeps only its cdf from the forward and forms the derivative inside
 its gradient closure, so a forward that is never differentiated pays for
@@ -41,7 +43,9 @@ element goes through the same ufuncs in the same order as the one-shot
 formula, so the results are bitwise equal to it. `projection` fuses the
 operator's head, affine -> gelu -> affine, with the same kernels over
 blocks of rows: of its wide hidden arrays it keeps only the cdf, and its
-backward recomputes each block's gelu input from the narrow one.
+backward recomputes each block's gelu input from the narrow one. `vsn`
+runs gelu's kernels on gate * x, so it too forms its derivative in the
+backward, over the cdf it keeps.
 
 The per-sample work of a step runs on two cores through `core.halves`:
 the gelu kernels over flat halves of their arrays, the matmuls of
@@ -69,7 +73,6 @@ import math
 import numpy as np
 from scipy.special import erf, expit
 
-from . import wavelet as wv
 from .core import ShapeError, halves
 
 _SQRT2 = np.sqrt(2.0)
@@ -255,29 +258,21 @@ def _gelu_cdf_value(x: np.ndarray):
     return cdf, value
 
 
-def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g=None) -> np.ndarray:
-    """gelu'(x), times g when given, written over cdf and returned.
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """gelu'(x) * g, written over cdf and returned.
 
     The exp term goes through a temporary of at most _GELU_BLOCK elements.
     """
-    xf, cf = np.ravel(x), cdf.reshape(-1)
-    gf = None if g is None else np.ravel(g)
+    xf, cf, gf = np.ravel(x), cdf.reshape(-1), np.ravel(g)
 
     def kernel(s):
         tmp = np.empty(min(_GELU_BLOCK, s.stop - s.start))
         for lo in range(s.start, s.stop, _GELU_BLOCK):
             b = slice(lo, min(lo + _GELU_BLOCK, s.stop))
-            _slope_kernel(xf[b], cf[b], tmp[: b.stop - lo], None if gf is None else gf[b])
+            _slope_kernel(xf[b], cf[b], tmp[: b.stop - lo], gf[b])
 
     halves(kernel, xf.size)
     return cdf
-
-
-def gelu_value_grad(x: np.ndarray):
-    """Exact (erf-based) gelu and its derivative."""
-    x = np.asarray(x, dtype=np.float64)
-    cdf, value = _gelu_cdf_value(x)
-    return value, _gelu_slope(x, cdf)
 
 
 def gelu(x: Node) -> Node:
@@ -455,43 +450,39 @@ def _separable(v: np.ndarray, mats, shape) -> np.ndarray:
     return out.reshape(v.shape[:-2] + out.shape[1:])
 
 
-def _lowpass(x: Node, filt: wv.WaveletFilter, levels: int, shape, synthesis: bool) -> Node:
-    """Analysis (grid -> coarse) or synthesis (coarse -> grid) of the lowpass pair."""
-    pairs = [wv.lowpass_pair(filt.name, n, levels) for n in shape]
-    coarse = tuple(a.shape[0] for a, _ in pairs)
-    src, dst = (coarse, shape) if synthesis else (shape, coarse)
+def _lowpass(x: Node, mats) -> Node:
+    """Apply mats[i] along grid axis i of x; the backward applies their transposes."""
+    src, dst = tuple(m.shape[1] for m in mats), tuple(m.shape[0] for m in mats)
     if x.value.shape[-2] != math.prod(src):
         raise ShapeError(f"wavelet op: {x.value.shape} does not hold a {src} grid")
-    mats = [s if synthesis else a for a, s in pairs]
     back = [m.T for m in mats]
     return Node(_separable(x.value, mats, src), (x,), (lambda g: _separable(g, back, dst),))
 
 
-def dwt1d(x: Node, filt: wv.WaveletFilter, levels: int) -> Node:
+def dwt1d(x: Node, analysis: np.ndarray) -> Node:
     """Level-L approximation A x along axis -2 of (..., N, C) fields.
 
-    Returns (..., ceil(N / 2^L), C); the backward is A^T g. A length that
-    2^L does not divide is symmetric-padded, folded into A.
+    analysis is A, (n_a, N); returns (..., n_a, C), and the backward is A^T g.
     """
-    return _lowpass(x, filt, levels, x.value.shape[-2:-1], False)
+    return _lowpass(x, (analysis,))
 
 
-def idwt1d(c: Node, filt: wv.WaveletFilter, levels: int, n: int) -> Node:
-    """Synthesis of (..., n_a, C) approximation coefficients onto n samples."""
-    return _lowpass(c, filt, levels, (n,), True)
+def idwt1d(c: Node, synthesis: np.ndarray) -> Node:
+    """Synthesis of (..., n_a, C) approximation coefficients; synthesis is (N, n_a)."""
+    return _lowpass(c, (synthesis,))
 
 
-def dwt2d(x: Node, filt: wv.WaveletFilter, levels: int, hw) -> Node:
-    """Separable level-L approximation of (..., H*W, C) fields on an H-by-W grid.
+def dwt2d(x: Node, analyses) -> Node:
+    """Separable approximation of (..., H*W, C) fields by (A_H, A_W).
 
     Returns (..., ha*wa, C), row-major over the coarse grid.
     """
-    return _lowpass(x, filt, levels, tuple(hw), False)
+    return _lowpass(x, tuple(analyses))
 
 
-def idwt2d(c: Node, filt: wv.WaveletFilter, levels: int, hw) -> Node:
+def idwt2d(c: Node, syntheses) -> Node:
     """Separable synthesis of (..., ha*wa, C) coefficients onto the H-by-W grid."""
-    return _lowpass(c, filt, levels, tuple(hw), True)
+    return _lowpass(c, tuple(syntheses))
 
 
 def wavelet_scale(a: Node, r: Node) -> Node:
@@ -532,15 +523,25 @@ def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
     sig = expit(slope * (membrane - th))
     surr = slope * sig * (1.0 - sig)
     gate = sig if smooth else (membrane >= th).astype(np.float64)
-    pre = gate * xv
-    act, dact = gelu_value_grad(pre)
+    cdf, act = _gelu_cdf_value(gate * xv)
     lead = tuple(range(xv.ndim - 1))
+    formed = {}
+
+    def g_dact(g, k):
+        """g * gelu'(gate * x): the first closure to run forms it over cdf."""
+        nonlocal cdf
+        if cdf is not None:
+            formed.update(dict.fromkeys((0, 1), _gelu_slope(gate * xv, cdf, g)))
+            cdf = None
+        if k not in formed:
+            raise GraphError(f"vsn's gradient {k} was already taken")
+        return formed.pop(k)
 
     def out_dx(g):
-        return g * dact * (gate + xv * surr)
+        return g_dact(g, 0) * (gate + xv * surr)
 
     def out_dth(g):
-        return (g * dact * xv * (-surr)).sum(axis=lead)
+        return (g_dact(g, 1) * xv * (-surr)).sum(axis=lead)
 
     out_node = Node(act, (x, threshold), (out_dx, out_dth))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -86,6 +87,14 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.n_c < 1 or self.epochs < 0 or self.batch < 1:
             raise ConfigError("n_c >= 1, epochs >= 0 and batch >= 1 required")
+        for key in ("lr", "prior_weight", "slf_alpha", "slf_beta"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for key in ("slf_alpha", "slf_beta"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         return self
 
     def as_manifest(self) -> dict:

@@ -70,7 +70,7 @@ class WnoConfig:
             raise ValueError("width, layers and levels must all be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.wavelet not in ("db4", "db6"):
+        if self.wavelet not in wv.LOWPASS_TAPS:
             raise ValueError(f"unsupported wavelet {self.wavelet!r}")
         if self.surrogate_slope <= 0:
             raise ValueError("surrogate slope must be positive")
@@ -99,32 +99,9 @@ class WnoModel:
     @classmethod
     def initialize(cls, config: WnoConfig, rng: SeededRng) -> "WnoModel":
         gen = rng.generator()
-        width = config.width
-        p: dict[str, ad.Parameter] = {}
-
-        def glorot(name, shape):
-            std = math.sqrt(2.0 / (shape[0] + shape[-1]))
-            p[name] = ad.Parameter(gen.normal(0.0, std, size=shape), name)
-
-        def zeros(name, shape):
-            p[name] = ad.Parameter(np.zeros(shape), name)
-
-        glorot("uplift.w", (config.in_channels, width))
-        zeros("uplift.b", (width,))
-        r_scale = 1.0 / (width * width)
-        for i in range(config.layers):
-            p[f"layer{i}.r"] = ad.Parameter(
-                gen.uniform(0.0, r_scale, size=(width, width)), f"layer{i}.r"
-            )
-            glorot(f"layer{i}.k", (width, width))
-            zeros(f"layer{i}.b", (width,))
-            if config.activation == "vsn":
-                p[f"layer{i}.th"] = ad.Parameter(np.full(width, 0.5), f"layer{i}.th")
-        glorot("proj1.w", (width, config.proj_hidden))
-        zeros("proj1.b", (config.proj_hidden,))
-        glorot("proj2.w", (config.proj_hidden, 1))
-        zeros("proj2.b", (1,))
-        return cls(config, p)
+        params = {name: ad.Parameter(init(gen), name)
+                  for name, (_, init) in _parameter_layout(config).items()}
+        return cls(config, params)
 
     def parameters(self) -> list:
         return list(self.params.values())
@@ -205,11 +182,11 @@ class WnoModel:
             [x.reshape(batch, n_pts, 1), np.broadcast_to(coords, (batch,) + coords.shape)],
             axis=2,
         )
-        filt = wv.get_filter(cfg.wavelet)
+        pairs = [wv.lowpass_pair(cfg.wavelet, n, levels) for n in spatial]
         v = ad.affine(ad.constant(feats), self.params["uplift.w"], self.params["uplift.b"])
         gates = []
         for i in range(cfg.layers):
-            k = _wavelet_kernel(v, self.params[f"layer{i}.r"], filt, levels, spatial)
+            k = _wavelet_kernel(v, self.params[f"layer{i}.r"], pairs)
             w = ad.conv1x1(v, self.params[f"layer{i}.k"])
             z = ad.layer_sum(k, w, self.params[f"layer{i}.b"])
             ad.release(k, w)
@@ -228,24 +205,31 @@ class WnoModel:
         ad.release(h)
         return out, gates
 
+    def _forward_chunks(self, inputs: np.ndarray, keep) -> list:
+        """[keep(output node, gate nodes) for each chunk of the batch].
+
+        The forward runs on chunks of max(1, PREDICT_CHUNK_POINTS // grid
+        points) samples. keep must return arrays, not nodes: each chunk's
+        graph is then freed before the next chunk's forward starts, so the
+        live activations stay at a few (chunk, grid, channels) arrays
+        whatever the batch size. Samples do not interact in the forward, so
+        the chunks' results are those of one forward over the whole batch.
+        """
+        x = np.asarray(inputs, dtype=np.float64)
+        step = max(1, PREDICT_CHUNK_POINTS // math.prod(x.shape[1:]))
+        # an empty batch runs one empty chunk, so results keep their shapes
+        return [keep(*self.forward_nodes(x[start : start + step]))
+                for start in range(0, max(len(x), 1), step)]
+
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Batched inference in physical units; inputs (B, *grid).
 
-        The forward runs on chunks of max(1, PREDICT_CHUNK_POINTS // grid
-        points) samples, and each chunk's graph is freed before the next
-        one is built, so the live activations stay at a few (chunk, grid,
-        channels) arrays whatever B is. Samples do not interact in the
-        forward, so the result equals one forward over the whole batch.
+        Runs through `_forward_chunks`, so it equals one forward over the
+        whole batch while holding only one chunk's graph at a time.
         """
         x = np.asarray(inputs, dtype=np.float64)
-        n_pts = math.prod(x.shape[1:])
-        step = max(1, PREDICT_CHUNK_POINTS // n_pts)
-        y = np.empty(x.shape)
-        rows = y.reshape(len(x), n_pts)
-        for start in range(0, len(x), step):
-            out, _ = self.forward_nodes(x[start : start + step])
-            rows[start : start + step] = out.value[..., 0]
-            del out
+        y = np.concatenate(self._forward_chunks(x, lambda out, _: out.value[..., 0]))
+        y = y.reshape(x.shape)
         if self.norm is not None:
             y = y * self.norm.out_std + self.norm.out_mean
         return y
@@ -256,14 +240,45 @@ class WnoModel:
         return (targets - self.norm.out_mean) / self.norm.out_std
 
 
-def _wavelet_kernel(v: ad.Node, r: ad.Node, filt: wv.WaveletFilter, levels: int, spatial):
-    """Wavelet part of a layer on (B, prod(spatial), C): v + A^T ((A v)(r - I))."""
-    if len(spatial) == 1:
-        a = ad.wavelet_scale(ad.dwt1d(v, filt, levels), r)
-        synthesis = ad.idwt1d(a, filt, levels, spatial[0])
+def _parameter_layout(config: WnoConfig) -> dict:
+    """name -> (shape, init(gen)) of every parameter, in `initialize`'s draw order."""
+    width = config.width
+
+    def glorot(*shape):
+        std = math.sqrt(2.0 / (shape[0] + shape[-1]))
+        return shape, lambda gen: gen.normal(0.0, std, size=shape)
+
+    def full(value, *shape):
+        return shape, lambda gen: np.full(shape, value)
+
+    layout = {"uplift.w": glorot(config.in_channels, width), "uplift.b": full(0.0, width)}
+    r_scale = 1.0 / (width * width)
+    for i in range(config.layers):
+        layout[f"layer{i}.r"] = ((width, width),
+                                 lambda gen: gen.uniform(0.0, r_scale, size=(width, width)))
+        layout[f"layer{i}.k"] = glorot(width, width)
+        layout[f"layer{i}.b"] = full(0.0, width)
+        if config.activation == "vsn":
+            layout[f"layer{i}.th"] = full(0.5, width)
+    layout["proj1.w"] = glorot(width, config.proj_hidden)
+    layout["proj1.b"] = full(0.0, config.proj_hidden)
+    layout["proj2.w"] = glorot(config.proj_hidden, 1)
+    layout["proj2.b"] = full(0.0, 1)
+    return layout
+
+
+def _wavelet_kernel(v: ad.Node, r: ad.Node, pairs):
+    """Wavelet part of a layer on (B, N, C): v + A^T ((A v)(r - I)).
+
+    pairs holds the (analysis, synthesis) pair of each grid axis.
+    """
+    analyses, syntheses = zip(*pairs)
+    if len(pairs) == 1:
+        a = ad.wavelet_scale(ad.dwt1d(v, *analyses), r)
+        synthesis = ad.idwt1d(a, *syntheses)
     else:
-        a = ad.wavelet_scale(ad.dwt2d(v, filt, levels, spatial), r)
-        synthesis = ad.idwt2d(a, filt, levels, spatial)
+        a = ad.wavelet_scale(ad.dwt2d(v, analyses), r)
+        synthesis = ad.idwt2d(a, syntheses)
     k = ad.add(v, synthesis)
     ad.release(synthesis)
     return k
@@ -278,12 +293,15 @@ def spiking_activity(model: WnoModel, inputs: np.ndarray) -> np.ndarray:
     """Percent of emitted spikes per activation site over a dataset.
 
     100 x spikes / (neurons x samples) for each of the L spiking sites,
-    evaluated at the model's current parameters.
+    evaluated at the model's current parameters. The forward runs through
+    `WnoModel._forward_chunks`; spikes are 0 or 1, so the per-chunk counts
+    sum exactly and the result equals one forward over the whole dataset.
     """
     if model.config.activation != "vsn":
         raise NonSpikingModelError("model has no spiking activation sites")
-    _, gates = model.forward_nodes(np.asarray(inputs, dtype=np.float64))
-    return np.array([100.0 * float(np.mean(g.value)) for g in gates])
+    x = np.asarray(inputs, dtype=np.float64)
+    counts = model._forward_chunks(x, lambda _, gates: [g.value.sum() for g in gates])
+    return 100.0 * (np.sum(counts, axis=0) / (x.size * model.config.width))
 
 
 # --------------------------------------------------------------------------
@@ -372,11 +390,14 @@ def save_model(model: WnoModel, path):
 
 
 def load_model(path) -> WnoModel:
+    """Read a checkpoint; a parameter missing, extra or off the shape its
+    stored config implies raises FormatError naming it and the file."""
     with sio.reading(path) as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
         width, layers, levels, wid, aid, proj_hidden, in_ch = sio.read_u32(fh, 7)
         slope = sio.read_f64(fh)
         grid = sio.read_grid(fh)
+        norm = NormStats(*sio.read_f64(fh, 4)) if sio.read_u32(fh) else None
         cfg = WnoConfig(
             grid=grid,
             width=width,
@@ -386,17 +407,24 @@ def load_model(path) -> WnoModel:
             activation=sio.lookup_id(_ACTIVATION_NAMES, aid, "activation"),
             proj_hidden=proj_hidden,
             in_channels=in_ch,
+            normalize=norm is not None,
             surrogate_slope=slope,
         )
-        norm = None
-        if sio.read_u32(fh):
-            vals = sio.read_f64(fh, 4)
-            norm = NormStats(*vals)
-        count = sio.read_u32(fh)
+        layout = _parameter_layout(cfg)
         params = {}
-        for _ in range(count):
+        for _ in range(sio.read_u32(fh)):
             name, arr = sio.read_named_array(fh)
+            if name not in layout or name in params:
+                raise sio.FormatError(f"unexpected or repeated parameter {name!r}")
+            if arr.shape != layout[name][0]:
+                raise sio.FormatError(
+                    f"parameter {name!r} has shape {arr.shape}, the config implies "
+                    f"{layout[name][0]}"
+                )
             params[name] = ad.Parameter(arr, name)
+        missing = [name for name in layout if name not in params]
+        if missing:
+            raise sio.FormatError(f"missing parameters {missing}")
     return WnoModel(cfg, params, norm)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GridSpec
+from .core import GridError, GridSpec
 
 # OPCERT02: the model header dropped the spike-train length of OPCERT01
 CHECKPOINT_MAGIC = b"OPCERT02"
@@ -142,7 +142,10 @@ def read_grid(fh) -> GridSpec:
     res = read_u32(fh, dims)
     res = (res,) if dims == 1 else tuple(res)
     extent = tuple((read_f64(fh), read_f64(fh)) for _ in range(dims))
-    return GridSpec(res, extent)
+    try:
+        return GridSpec(res, extent)
+    except GridError as exc:
+        raise FormatError(f"bad grid header: {exc}") from exc
 
 
 def check_magic(fh, magic: bytes):

@@ -47,7 +47,7 @@ class TestBasicOps:
         x = ad.Parameter(gen.standard_normal((4, 7)) * 3.0, "x")
         g = gen.standard_normal((4, 7))
         ad.backward(ad.sum_all(ad.mul(ad.gelu(x), ad.constant(g))))
-        val, dval = ad.gelu_value_grad(x.value)
+        val, dval = one_shot_gelu(x.value)
         assert np.array_equal(ad.gelu(x).value, val)
         assert np.array_equal(x.grad, dval * g)
 
@@ -119,7 +119,7 @@ class TestBasicOps:
         # it is written over the kept cdf, so a second call has nothing to use
         x, g = np.linspace(-3.0, 3.0, 7), np.full(7, 2.0)
         node = ad.gelu(ad.constant(x))
-        assert np.array_equal(node.grad_fns[0](g), g * ad.gelu_value_grad(x)[1])
+        assert np.array_equal(node.grad_fns[0](g), g * one_shot_gelu(x)[1])
         with pytest.raises(ad.GraphError):
             node.grad_fns[0](g)
 
@@ -165,19 +165,19 @@ class TestBasicOps:
 class TestWaveletOps:
     def test_synthesis_then_analysis_is_identity(self):
         # A A^T = I: the rows of the approximation analysis are orthonormal
-        f = wv.get_filter("db6")
+        a, s = wv.lowpass_pair("db6", 64, 3)
         c = np.random.default_rng(1).standard_normal((2, 8, 3))
-        node = ad.dwt1d(ad.idwt1d(ad.constant(c), f, 3, 64), f, 3)
+        node = ad.dwt1d(ad.idwt1d(ad.constant(c), s), a)
         assert node.value.shape == c.shape
         assert np.max(np.abs(node.value - c)) < 1e-12
 
     def test_projection_is_idempotent(self):
         # A^T A projects onto the approximation space V_L
-        f = wv.get_filter("db4")
+        a, s = wv.lowpass_pair("db4", 64, 3)
         x = np.random.default_rng(10).standard_normal((2, 64, 3))
 
         def project(v):
-            return ad.idwt1d(ad.dwt1d(ad.constant(v), f, 3), f, 3, 64).value
+            return ad.idwt1d(ad.dwt1d(ad.constant(v), a), s).value
 
         once = project(x)
         assert np.max(np.abs(project(once) - once)) < 1e-12
@@ -185,9 +185,9 @@ class TestWaveletOps:
 
     def test_composite_gradient_is_identity(self):
         # the composite c -> A A^T c is the identity, so is its gradient
-        f = wv.get_filter("db6")
+        a, s = wv.lowpass_pair("db6", 32, 2)
         c = ad.Parameter(np.random.default_rng(2).standard_normal((1, 8, 2)), "c")
-        out = ad.dwt1d(ad.idwt1d(c, f, 2, 32), f, 2)
+        out = ad.dwt1d(ad.idwt1d(c, s), a)
         weights = np.random.default_rng(3).standard_normal(out.value.shape)
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
         assert np.max(np.abs(c.grad - weights)) < 1e-12
@@ -195,33 +195,33 @@ class TestWaveletOps:
     def test_dwt_gradient_is_inverse_transform(self):
         # orthonormal adjoint rule: the upstream gradient flows through the
         # packed inverse transform with every detail band zero
-        f = wv.get_filter("db4")
         x = ad.Parameter(np.random.default_rng(4).standard_normal((1, 64, 1)), "x")
-        node = ad.dwt1d(x, f, 2)
+        node = ad.dwt1d(x, wv.lowpass_pair("db4", 64, 2)[0])
         assert node.value.shape == (1, 16, 1)
         g = np.random.default_rng(5).standard_normal(node.value.shape)
         ad.backward(ad.sum_all(ad.mul(node, ad.constant(g))))
         packed = np.zeros((1, 1, 64))
         packed[..., :16] = np.swapaxes(g, -1, -2)
-        expected = np.swapaxes(wo.idwt_packed(packed, f, 2), -1, -2)
+        expected = np.swapaxes(wo.idwt_packed(packed, "db4", 2), -1, -2)
         assert np.max(np.abs(x.grad - expected)) < 1e-12
 
     @pytest.mark.parametrize("n,hw", [(64, None), (85, None), (None, (16, 12)), (None, (18, 13))])
     def test_lowpass_ops_match_fd(self, n, hw):
         # padded lengths (85, 18, 13) make analysis and synthesis non-adjoint
-        f = wv.get_filter("db4")
         gen = np.random.default_rng(11)
         if hw is None:
+            a, s = wv.lowpass_pair("db4", n, 2)
             x = ad.Parameter(gen.standard_normal((2, n, 2)), "x")
             c = ad.Parameter(gen.standard_normal((2, -(-n // 4), 2)), "c")
-            dwt = lambda: ad.dwt1d(x, f, 2)  # noqa: E731
-            idwt = lambda: ad.idwt1d(c, f, 2, n)  # noqa: E731
+            dwt = lambda: ad.dwt1d(x, a)  # noqa: E731
+            idwt = lambda: ad.idwt1d(c, s)  # noqa: E731
         else:
+            analyses, syntheses = zip(*(wv.lowpass_pair("db4", m, 2) for m in hw))
             x = ad.Parameter(gen.standard_normal((2, hw[0] * hw[1], 2)), "x")
             coarse = -(-hw[0] // 4) * -(-hw[1] // 4)
             c = ad.Parameter(gen.standard_normal((2, coarse, 2)), "c")
-            dwt = lambda: ad.dwt2d(x, f, 2, hw)  # noqa: E731
-            idwt = lambda: ad.idwt2d(c, f, 2, hw)  # noqa: E731
+            dwt = lambda: ad.dwt2d(x, analyses)  # noqa: E731
+            idwt = lambda: ad.idwt2d(c, syntheses)  # noqa: E731
         for op, p in ((dwt, x), (idwt, c)):
             def closure():
                 out = op()
@@ -231,29 +231,29 @@ class TestWaveletOps:
             assert max(errors.values()) < 1e-6
 
     def test_lowpass_ops_reject_off_grid_fields(self):
-        f = wv.get_filter("db4")
+        analyses = [wv.lowpass_pair("db4", m, 2)[0] for m in (8, 4)]
         with pytest.raises(ShapeError):
-            ad.dwt2d(ad.constant(np.zeros((1, 30, 2))), f, 2, (8, 4))
+            ad.dwt2d(ad.constant(np.zeros((1, 30, 2))), analyses)
         with pytest.raises(ShapeError):
-            ad.idwt1d(ad.constant(np.zeros((1, 5, 2))), f, 2, 16)
+            ad.idwt1d(ad.constant(np.zeros((1, 5, 2))), wv.lowpass_pair("db4", 16, 2)[1])
 
     def test_wavelet_scale_all_ones_single_channel_identity(self):
         # r = 1 leaves the approximation unchanged, so the layer is v itself
-        f = wv.get_filter("db6")
+        a, s = wv.lowpass_pair("db6", 16, 2)
         v = ad.constant(np.random.default_rng(6).standard_normal((2, 16, 1)))
         r = ad.Parameter(np.ones((1, 1)), "r")
-        change = ad.wavelet_scale(ad.dwt1d(v, f, 2), r)
+        change = ad.wavelet_scale(ad.dwt1d(v, a), r)
         assert np.array_equal(change.value, np.zeros((2, 4, 1)))
-        layer = ad.add(v, ad.idwt1d(change, f, 2, 16))
+        layer = ad.add(v, ad.idwt1d(change, s))
         assert np.array_equal(layer.value, v.value)
 
     def test_wavelet_scale_identity_matrix(self):
         width = 3
-        f = wv.get_filter("db6")
+        a, s = wv.lowpass_pair("db6", 16, 2)
         v = ad.constant(np.random.default_rng(7).standard_normal((2, 16, width)))
         r = ad.Parameter(np.eye(width), "r")
-        change = ad.wavelet_scale(ad.dwt1d(v, f, 2), r)
-        layer = ad.add(v, ad.idwt1d(change, f, 2, 16))
+        change = ad.wavelet_scale(ad.dwt1d(v, a), r)
+        layer = ad.add(v, ad.idwt1d(change, s))
         assert np.allclose(layer.value, v.value)
 
     def test_wavelet_scale_gradients_match_fd(self):
@@ -275,7 +275,7 @@ class TestVsnOp:
         out, gate = ad.vsn(x, th)
         assert np.array_equal(gate.value, [[0.0, 1.0, 0.0]])
         assert out.value[0, 0] == 0.0 and out.value[0, 2] == 0.0
-        gelu2, _ = ad.gelu_value_grad(np.array(2.0))
+        gelu2, _ = one_shot_gelu(np.array(2.0))
         assert abs(out.value[0, 1] - gelu2) < 1e-15
 
     def test_smooth_mode_matches_fd(self):
@@ -357,12 +357,16 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_gelu_value_grad(self, case):
-        x, _ = kernel_inputs(case)
+        # the array kernels vsn calls: gelu's cdf and value, then g * gelu'
+        # written over that cdf
+        x, g = kernel_inputs(case)
         value, slope = one_shot_gelu(x)
-        got_value, got_slope = ad.gelu_value_grad(x)
+        cdf, got_value = ad._gelu_cdf_value(x)
+        got_slope = ad._gelu_slope(x, cdf, g)
+        assert got_slope is cdf
         assert got_value.shape == got_slope.shape == np.shape(x)
         assert np.array_equal(got_value, value)
-        assert np.array_equal(got_slope, slope)
+        assert np.array_equal(got_slope, g * slope)
 
     @pytest.mark.parametrize("rows", [1, 4095, 8195])
     def test_affine(self, rows):
@@ -393,6 +397,21 @@ class TestInPlaceKernels:
         dx, dth = (fn(g) for fn in gate_node.grad_fns)
         assert np.array_equal(dx, g * surr)
         assert np.array_equal(dth, (g * (-surr)).sum(axis=(0, 1)))
+
+    def test_vsn_forms_its_slope_once(self, monkeypatch):
+        # the first closure writes g * gelu' over the kept cdf, the other reuses it
+        calls = []
+        slope = ad._gelu_slope
+        monkeypatch.setattr(ad, "_gelu_slope", lambda *a: (calls.append(1), slope(*a))[1])
+        gen = np.random.default_rng(24)
+        x, g = gen.standard_normal((2, 9, 3)), gen.standard_normal((2, 9, 3))
+        out, _ = ad.vsn(ad.constant(x), ad.constant(np.zeros(3)))
+        for fn in reversed(out.grad_fns):  # the backward's order
+            fn(g)
+        assert len(calls) == 1
+        for fn in out.grad_fns:
+            with pytest.raises(ad.GraphError):
+                fn(g)
 
 
 HEAD_NAMES = ("x", "w1", "b1", "w2", "b2")
@@ -544,8 +563,11 @@ class TestTwoCoreKernels:
         x, g = gen.standard_normal(shape) * 3.0, gen.standard_normal(shape)
 
         def run():
+            # vsn runs gelu's kernels on gate * x
             node = ad.gelu(ad.constant(x))
-            return (node.value, node.grad_fns[0](g), *ad.gelu_value_grad(x))
+            out, _ = ad.vsn(ad.constant(x), ad.constant(np.zeros(shape[-1])))
+            return (node.value, node.grad_fns[0](g), out.value,
+                    *(fn(g) for fn in out.grad_fns))
 
         split_equals_whole(on_cpus, run, splits)
 

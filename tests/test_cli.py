@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opcert import autodiff as ad
 from opcert import cli
 from opcert import conformal as cf
 from opcert import datagen as dg
@@ -198,6 +199,19 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", -0.001), ("lr", 0.0), ("lr", "nan"), ("lr", "inf"), ("prior_weight", "nan"),
+    ("slf_alpha", -1.0), ("slf_beta", "nan"), ("slf_beta", -0.1),
+])
+def test_bad_numeric_config_exits_2(root, tmp_path, capsys, key, value):
+    # each used to train: by gradient ascent, into NaN weights, or on a silently dropped term
+    cfg = write_config(tmp_path / "bad.cfg", **TINY, model="rp-vswno", **{key: value})
+    assert opcert("train", "--config", cfg, "--data", root / "data",
+                  "--out", tmp_path / "ckpt") == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_missing_split_exits_3(root, tmp_path):
     (tmp_path / "empty").mkdir()
     assert opcert("train", "--config", root / "run.cfg", "--data", tmp_path / "empty",
@@ -231,6 +245,27 @@ def test_old_checkpoint_format_exits_3(root, tmp_path, capsys):
         assert str(ckpt / "member_000.ckpt") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, change", [
+    ("layer0.k", None), ("proj1.w", np.zeros((16, 7))), ("layer9.k", np.zeros((16, 16))),
+])
+def test_checkpoint_parameter_off_its_layout_exits_3(root, tmp_path, capsys, name, change):
+    # a missing, misshapen or unknown parameter, against the stored config's layout
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(root / "rp-wno", ckpt)
+    path = ckpt / "member_000.ckpt"
+    model = no.load_model(path)
+    if change is None:
+        del model.params[name]
+    else:
+        model.params[name] = ad.Parameter(change, name)
+    no.save_model(model, path)
+    assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
+                  "--out", tmp_path / "q.qfield") == 3
+    err = capsys.readouterr().err
+    assert repr(name) in err and str(path) in err
+    assert not (tmp_path / "q.qfield").exists()
+
+
 @pytest.mark.parametrize("field", ["wavelet", "activation"])
 def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
     # the header's u32s after the magic and the version: width, layers,
@@ -247,13 +282,14 @@ def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
     assert f"unknown {field} id 99" in err and str(path) in err
 
 
-@pytest.mark.parametrize("case", ["kind", "empty", "grid", "mixed"])
+@pytest.mark.parametrize("case", ["kind", "empty", "grid", "mixed", "dims"])
 def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
     path = data / "calibration.opdata"
-    # sample shapes on a 16-point grid: none, all off the grid, or one off it
-    shapes = {"empty": [], "grid": [(8,), (8,)], "mixed": [(16,), (8,)]}.get(case)
+    # sample shapes on a 16-point grid: none, all off the grid, or one off it;
+    # or a grid header of 0 dims
+    shapes = {"empty": [], "grid": [(8,), (8,)], "mixed": [(16,), (8,)], "dims": []}.get(case)
     if case == "kind":  # the kind id follows the magic and the version
         raw = path.read_bytes()
         path.write_bytes(raw[:12] + struct.pack("<I", 99) + raw[16:])
@@ -261,7 +297,10 @@ def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
         with sio.replacing(path) as fh:
             sio.start_file(fh, sio.DATASET_MAGIC)
             sio.write_u32(fh, dg.DATASET_KINDS["burgers"])
-            sio.write_grid(fh, GridSpec((16,)))
+            if case == "dims":
+                sio.write_u32(fh, 0)
+            else:
+                sio.write_grid(fh, GridSpec((16,)))
             sio.write_u32(fh, len(shapes))
             for shape in shapes:
                 sio.write_array(fh, np.zeros(shape))
@@ -272,7 +311,25 @@ def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
     assert str(path) in err
     if shapes:
         assert f"sample {1 if case == 'mixed' else 0} input has shape (8,)" in err
+    if case == "dims":
+        assert "grid must be 1D or 2D, got 0 dims" in err
     assert not (tmp_path / "q.qfield").exists()
+
+
+def test_qfield_grid_of_three_dims_exits_3(root, tmp_path, capsys):
+    qf = cf.load_qfield(root / "rp-wno" / "q.qfield")
+    path = tmp_path / "q.qfield"
+    with sio.replacing(path) as fh:  # the layout of cf.save_qfield, with a 3D grid header
+        sio.start_file(fh, sio.QFIELD_MAGIC)
+        sio.write_u32(fh, 3, 16, 1, 1)
+        sio.write_f64(fh, *[0.0, 1.0] * 3)
+        sio.write_f64(fh, qf.alpha)
+        sio.write_array(fh, qf.values)
+    assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", path,
+                  "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "3 dims" in err
+    assert not (tmp_path / "coverage.csv").exists()
 
 
 def test_nan_qfield_exits_3(root, tmp_path, capsys):
@@ -376,6 +433,7 @@ def _has_mallopt():
 HEAP_PROBE = """
 import resource, sys
 import numpy as np
+from opcert import autodiff as ad
 from opcert import cli
 if sys.argv[1] == "main":
     cli.main(["generate-data", "--config", "missing.cfg", "--out", "unused"])
@@ -405,6 +463,7 @@ def test_main_keeps_freed_arrays_in_the_heap(tmp_path):
 ARENA_PROBE = """
 import resource, threading
 import numpy as np
+from opcert import autodiff as ad
 from opcert import cli
 cli._retain_heap()
 def faults():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opcert import wavelet as wv
 from opcert.core import GridError, GridSpec, SeededRng
 
 import wavelet_oracle as wo
+from test_autodiff import one_shot_gelu
 
 
 def small_config(**kwargs):
@@ -95,7 +97,7 @@ class TestForward:
         assert drift < 10 * max(train_err, 1e-6)
 
 
-def cascade_layer(v, r, filt, levels, spatial):
+def cascade_layer(v, r, name, levels, spatial):
     """Wavelet part of a layer by the full packed cascade (oracle).
 
     Symmetric-pad each axis of v (B, prod(spatial), C) to a multiple of
@@ -107,13 +109,13 @@ def cascade_layer(v, r, filt, levels, spatial):
     x = np.pad(x, [(0, 0), (0, 0)] + [(0, (-s) % block) for s in spatial], mode="symmetric")
     approx = (...,) + tuple(slice(0, s >> levels) for s in x.shape[2:])
     if len(spatial) == 1:
-        c = wo.dwt_packed(x, filt, levels)
+        c = wo.dwt_packed(x, name, levels)
         c[approx] = np.einsum("bck,cd->bdk", c[approx], r)
-        y = wo.idwt_packed(c, filt, levels)
+        y = wo.idwt_packed(c, name, levels)
     else:
-        c = wo.dwt2d_packed(x, filt, levels)
+        c = wo.dwt2d_packed(x, name, levels)
         c[approx] = np.einsum("bchw,cd->bdhw", c[approx], r)
-        y = wo.idwt2d_packed(c, filt, levels)
+        y = wo.idwt2d_packed(c, name, levels)
     y = y[(...,) + tuple(slice(0, s) for s in spatial)]
     return np.moveaxis(y, 1, -1).reshape(v.shape)
 
@@ -134,11 +136,11 @@ class TestWaveletKernel:
     )
     def test_matches_packed_cascade(self, spatial, levels):
         gen = SeededRng(40).generator()
-        filt = wv.get_filter("db6")
         v = gen.standard_normal((2, int(np.prod(spatial)), 4))
         r = gen.standard_normal((4, 4))
-        got = no._wavelet_kernel(ad.constant(v), ad.constant(r), filt, levels, spatial)
-        want = cascade_layer(v, r, filt, levels, spatial)
+        pairs = [wv.lowpass_pair("db6", n, levels) for n in spatial]
+        got = no._wavelet_kernel(ad.constant(v), ad.constant(r), pairs)
+        want = cascade_layer(v, r, "db6", levels, spatial)
         assert np.max(np.abs(got.value - want)) < 1e-12
 
     def test_non_dyadic_2d_grid_trains_and_transfers(self):
@@ -156,7 +158,7 @@ class TestVsnForward:
     def test_immediate_spike(self):
         out, gate = ad.vsn(ad.constant(np.array([[2.0]])), ad.constant(np.array([1.0])))
         assert gate.value[0, 0] == 1.0
-        expected, _ = ad.gelu_value_grad(np.array(2.0))
+        expected, _ = one_shot_gelu(np.array(2.0))
         assert abs(out.value[0, 0] - expected) < 1e-15
 
     def test_zero_input_silent(self):
@@ -177,7 +179,7 @@ class TestVsnForward:
             for b in range(batch):
                 for c in range(width):
                     fired = z[b, c] >= th[c]
-                    ref = ad.gelu_value_grad(np.array(z[b, c]))[0] if fired else 0.0
+                    ref = one_shot_gelu(np.array(z[b, c]))[0] if fired else 0.0
                     assert gate.value[b, c] == float(fired)
                     assert out.value[b, c] == pytest.approx(float(ref), abs=0.0)
 
@@ -479,7 +481,7 @@ class TestTrainingBlasThreads:
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        cfg = small_config(activation="vsn", width=6, proj_hidden=13)
+        cfg = small_config(activation="vsn", width=6, proj_hidden=13, normalize=True)
         model = no.WnoModel.initialize(cfg, SeededRng(36))
         model.norm = no.NormStats(0.1, 2.0, -0.3, 1.7)
         path = tmp_path / "model.ckpt"
@@ -490,6 +492,19 @@ class TestCheckpoint:
         assert np.array_equal(parameter_vector(loaded), parameter_vector(model))
         x = SeededRng(37).generator().standard_normal((2, 64))
         assert np.array_equal(loaded.predict(x), model.predict(x))
+
+    @pytest.mark.parametrize("spatial", [(64,), (16, 16)])
+    def test_config_roundtrips(self, tmp_path, spatial):
+        # normalize is stored as whether the checkpoint holds statistics
+        for normalize in (False, True):
+            cfg = no.WnoConfig(grid=GridSpec(spatial), width=4, layers=1, levels=2,
+                               normalize=normalize)
+            model = no.WnoModel.initialize(cfg, SeededRng(38))
+            if normalize:
+                x = SeededRng(39).generator().standard_normal((2,) + spatial)
+                model.set_normalization(x, 2.0 * x)
+            no.save_model(model, tmp_path / "model.ckpt")
+            assert no.load_model(tmp_path / "model.ckpt").config == cfg
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -535,3 +550,45 @@ class TestChunkedPredict:
         assert chunks == [min(step, batch - s) for s in range(0, batch, step)]
         assert len(chunks) > 1
         assert np.array_equal(got, want)
+
+    def test_empty_batch_keeps_its_shape(self):
+        model = no.WnoModel.initialize(small_config(), SeededRng(56))
+        assert model.predict(np.empty((0, 64))).shape == (0, 64)
+
+    def test_spiking_activity_runs_on_chunks(self, monkeypatch):
+        # spike counts are exact, so the chunked percentages are the one-shot ones
+        model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(52))
+        x = SeededRng(53).generator().standard_normal((150, 64))
+        _, gates = model.forward_nodes(x)
+        want = np.array([100.0 * float(np.mean(g.value)) for g in gates])
+        assert np.all((want > 0.0) & (want < 100.0))
+        chunks = []
+        forward = no.WnoModel.forward_nodes
+
+        def counted(self, inputs):
+            chunks.append(len(inputs))
+            return forward(self, inputs)
+
+        monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
+        got = no.spiking_activity(model, x)
+        assert chunks == [64, 64, 22]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("run", [no.WnoModel.predict, no.spiking_activity],
+                             ids=["predict", "spiking_activity"])
+    def test_previous_chunk_freed_before_next_forward(self, monkeypatch, run):
+        # a node's gradient closures live exactly as long as the node
+        model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(54))
+        x = SeededRng(55).generator().standard_normal((3 * 64, 64))
+        forward = no.WnoModel.forward_nodes
+        previous, alive = [], []
+
+        def watched(self, inputs):
+            alive.extend(ref() is not None for ref in previous)
+            out, gates = forward(self, inputs)
+            previous[:] = [weakref.ref(node.grad_fns[0]) for node in (out, *gates)]
+            return out, gates
+
+        monkeypatch.setattr(no.WnoModel, "forward_nodes", watched)
+        run(model, x)
+        assert alive == [False] * 2 * (1 + model.config.layers)

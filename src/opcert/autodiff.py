@@ -47,7 +47,8 @@ backward recomputes each block's gelu input from the narrow one. `vsn`
 runs gelu's kernels on gate * x, so it too forms its derivative in the
 backward, over the cdf it keeps.
 
-The per-sample work of a step runs on two cores through `core.halves`:
+On the main thread, the per-sample work of a step runs on two cores
+through `core.halves` (on a `core.member_map` pool thread it runs whole):
 the gelu kernels over flat halves of their arrays, the matmuls of
 `affine`, `conv1x1` (forward and input gradient) and the wavelet
 analysis and synthesis over halves of the batch axis, and `projection`

@@ -15,12 +15,12 @@ free arrays of up to tens of MB per call; with glibc's defaults they are
 handed back to the kernel and faulted in again on the next call. Both
 settings are needed, because fixing only the trim threshold also turns
 off glibc's dynamic mmap threshold, so every large array is mmap'd anew.
-It also limits glibc to one malloc arena: inference runs one ensemble
-member per core on a thread pool (`core.member_map`), and each pool thread
-would otherwise get an arena of its own, whose freed arrays the other
-threads and later stages cannot reuse. `mallopt` is glibc's, so where the
-C library lacks it (musl, macOS) this step does nothing. Importing the
-package changes no allocator setting.
+It also limits glibc to one malloc arena: training and inference run
+one ensemble member per core on a thread pool (`core.member_map`), and
+each pool thread would otherwise get an arena of its own, whose freed
+arrays the other threads and later stages cannot reuse. `mallopt` is
+glibc's, so where the C library lacks it (musl, macOS) this step does
+nothing. Importing the package changes no allocator setting.
 """
 
 from __future__ import annotations
@@ -191,19 +191,22 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if run.model == "q-wno":
-        loss_lo = no.LossConfig("pinball", eta=run.alpha / 2.0)
-        loss_hi = no.LossConfig("pinball", eta=1.0 - run.alpha / 2.0)
-        traces = []
-        for tag, loss, offset in (("lo", loss_lo, 0), ("hi", loss_hi, 64)):
+        def train_quantile(eta_offset):
+            eta, offset = eta_offset
             model = no.WnoModel.initialize(cfg, rng.substream(offset))
             if cfg.normalize:
                 model.set_normalization(train_in, train_out)
             trace = no.train(
-                model, train_in, train_out, loss, run.epochs, run.batch,
-                rng.substream(offset + 1), lr=run.lr,
+                model, train_in, train_out, no.LossConfig("pinball", eta=eta), run.epochs,
+                run.batch, rng.substream(offset + 1), lr=run.lr,
             )
+            return model, trace
+
+        # the pair trains one model per core, as ensemble members do
+        pair = member_map(train_quantile, ((run.alpha / 2.0, 0), (1.0 - run.alpha / 2.0, 64)))
+        for tag, (model, _) in zip(("lo", "hi"), pair):
             no.save_model(model, out / f"{tag}.ckpt")
-            traces.append(trace)
+        traces = [trace for _, trace in pair]
         sio.write_manifest(
             out / "manifest.txt",
             {"kind": "qwno", "eta_lo": repr(run.alpha / 2.0), "eta_hi": repr(1.0 - run.alpha / 2.0)},

@@ -49,6 +49,12 @@ class QField:
             raise ValueError(f"{nan} of {self.values.size} conformal parameters are NaN")
         if np.any(self.values < 0):
             raise ValueError("conformal parameters must be non-negative")
+        _check_alpha(self.alpha)
+
+
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass
@@ -118,7 +124,12 @@ def score(truth: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
 
 def quantile_index(n: int, alpha: float) -> int:
-    """Order-statistic index k = ceil((1-alpha)(n+1)); k > n means +inf."""
+    """Order-statistic index k = ceil((1-alpha)(n+1)); k > n means +inf.
+
+    alpha outside (0, 1) raises ValueError: it would give k <= 0, which
+    names no order statistic.
+    """
+    _check_alpha(alpha)
     return math.ceil((1.0 - alpha) * (n + 1))
 
 
@@ -220,5 +231,5 @@ def load_qfield(path) -> QField:
         values = sio.read_array(fh)
         try:
             return QField(values, grid, alpha)
-        except ValueError as exc:  # NaN, negative or off-grid values
+        except ValueError as exc:  # NaN, negative or off-grid values, or a bad alpha
             raise sio.FormatError(str(exc)) from exc

@@ -11,11 +11,12 @@ The package has one parallelism policy: every core runs one piece of
 work, and every loaded OpenBLAS runs on one thread meanwhile
 (`one_blas_thread`), so its workers do not spin on the cores the pieces
 need. It has two tools. `member_map` runs independent models (ensemble
-members, a quantile pair) one per core on a thread pool; inference uses
-it. `halves` splits one per-sample kernel of a single model in two: the
-main thread computes one half and one helper thread the other, into the
-same preallocated output; training uses it, one member at a time. The
-two never nest: `halves` runs whole on any thread but the main one.
+members, a quantile pair) one per core on a thread pool; training and
+inference both use it. `halves` splits one per-sample kernel of a single
+model in two: the main thread computes one half and one helper thread the
+other, into the same preallocated output; a model that runs alone on the
+main thread (a one-member ensemble, the spiking report) uses it. The two
+never nest: `halves` runs whole on any thread but the main one.
 numpy's ufuncs and matmuls release the GIL, so the threads overlap; every
 element goes through the same ufunc or BLAS call as in a serial run, so
 results are bit-identical to it.

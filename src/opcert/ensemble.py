@@ -8,18 +8,18 @@ the data does not pin the ensemble down. Members are fully independent:
 each derives its own random streams from (seed, member index), so
 training one in isolation reproduces its in-ensemble parameters bitwise.
 
-Inference runs one member per core (`core.member_map`): `rp_predict`
-maps the members over the pool, and `rp_train` computes every member's
-prior residual targets there. Training takes one member at a time, and
-each of its steps runs on both cores (`neuralop.train`, through
-`core.halves`). Training the members side by side on the pool is about
-as fast, but every member's graph and Adam state are then live at once:
-the darcy-32 train command (20 samples, 4 members, 2 epochs) peaks at
-160-170 MB pooled, against 110 MB one member at a time.
+Members train and predict one per core (`core.member_map`): `rp_train`
+and `rp_predict` map the members over the pool. Each training step runs
+on chunks of a few thousand grid points (`neuralop.train`), so a member's
+live graph does not grow with the batch. The darcy-32 train command (20
+samples, 4 members, 2 epochs) peaks at 81-82 MB with members pooled,
+against 110 MB for whole-batch steps one member at a time and 160-170 MB
+for whole-batch steps pooled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,8 +101,10 @@ def rp_train(
 ) -> tuple[RpEnsemble, list]:
     """Train n_c independent members on the same dataset.
 
-    Returns the ensemble and per-member loss traces. Any member whose loss
-    diverges aborts the whole training with the member id in the message.
+    Members train one per core (`core.member_map`), each member's prior
+    residual targets computed on its own pool thread. Returns the ensemble
+    and per-member loss traces. A member whose loss diverges aborts the
+    whole training; the error names the lowest-index diverged member.
     """
     if n_c < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_c}")
@@ -116,24 +118,24 @@ def rp_train(
         for member in members:
             member.trainable.set_normalization(inputs, targets)
             member.prior.norm = member.trainable.norm
-    residuals = member_map(lambda m: m.residual_targets(inputs, targets), members)
-    traces = []
-    for k, (member, residual) in enumerate(zip(members, residuals)):
-        batch_rng = rng.substream(_MEMBER_BLOCK * k + _BATCH_OFF)
+
+    def train_member(k):
+        member = members[k]
         try:
-            trace = no.train(
+            return no.train(
                 member.trainable,
                 inputs,
-                residual,
+                member.residual_targets(inputs, targets),
                 loss_config,
                 epochs,
                 batch_size,
-                batch_rng,
+                rng.substream(_MEMBER_BLOCK * k + _BATCH_OFF),
                 lr=lr,
             )
         except no.TrainingDiverged as exc:
             raise EnsembleTrainingError(f"member {k} diverged: {exc}") from exc
-        traces.append(trace)
+
+    traces = member_map(train_member, range(n_c))
     return RpEnsemble(members, config, prior_weight), traces
 
 
@@ -190,6 +192,8 @@ def load_ensemble(directory) -> RpEnsemble:
 
     n_c = entry("n_c", int)
     weight = entry("prior_weight", float)
+    if not math.isfinite(weight):
+        raise sio.FormatError(f"non-finite 'prior_weight' {weight} in {path}")
     streams = entry("seed_streams", lambda raw: [int(s) for s in raw.split(",")])
     if len(streams) != n_c:  # also catches n_c < 1: split() yields one or more
         raise sio.FormatError(f"{path} lists {len(streams)} 'seed_streams' for 'n_c' = {n_c}")

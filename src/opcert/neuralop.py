@@ -38,8 +38,9 @@ from .core import GridError, GridSpec, SeededRng, normalized_coordinates, one_bl
 
 ACTIVATIONS = ("gelu", "vsn", "identity")
 
-# `predict` runs the forward on chunks of about this many grid points
-PREDICT_CHUNK_POINTS = 4096
+# the forward of `predict` and each training step's forward and backward
+# run on chunks of max(1, CHUNK_POINTS // grid points) samples
+CHUNK_POINTS = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,14 +67,15 @@ class WnoConfig:
     surrogate_slope: float = 10.0
 
     def __post_init__(self):
-        if self.width < 1 or self.layers < 1 or self.levels < 1:
-            raise ValueError("width, layers and levels must all be >= 1")
+        for key in ("width", "layers", "levels", "proj_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key!r} must be >= 1, got {getattr(self, key)}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+            raise ValueError(f"'activation' must be one of {ACTIVATIONS}")
         if self.wavelet not in wv.LOWPASS_TAPS:
-            raise ValueError(f"unsupported wavelet {self.wavelet!r}")
-        if self.surrogate_slope <= 0:
-            raise ValueError("surrogate slope must be positive")
+            raise ValueError(f"unsupported 'wavelet' {self.wavelet!r}")
+        if not self.surrogate_slope > 0:  # NaN fails too
+            raise ValueError(f"'surrogate_slope' must be positive, got {self.surrogate_slope}")
         if self.in_channels == 0:
             object.__setattr__(self, "in_channels", 1 + self.grid.dims)
 
@@ -208,15 +210,15 @@ class WnoModel:
     def _forward_chunks(self, inputs: np.ndarray, keep) -> list:
         """[keep(output node, gate nodes) for each chunk of the batch].
 
-        The forward runs on chunks of max(1, PREDICT_CHUNK_POINTS // grid
-        points) samples. keep must return arrays, not nodes: each chunk's
-        graph is then freed before the next chunk's forward starts, so the
-        live activations stay at a few (chunk, grid, channels) arrays
-        whatever the batch size. Samples do not interact in the forward, so
-        the chunks' results are those of one forward over the whole batch.
+        The forward runs on chunks of `_chunk_size` samples. keep must
+        return arrays, not nodes: each chunk's graph is then freed before
+        the next chunk's forward starts, so the live activations stay at a
+        few (chunk, grid, channels) arrays whatever the batch size.
+        Samples do not interact in the forward, so the chunks' results are
+        those of one forward over the whole batch.
         """
         x = np.asarray(inputs, dtype=np.float64)
-        step = max(1, PREDICT_CHUNK_POINTS // math.prod(x.shape[1:]))
+        step = _chunk_size(x)
         # an empty batch runs one empty chunk, so results keep their shapes
         return [keep(*self.forward_nodes(x[start : start + step]))
                 for start in range(0, max(len(x), 1), step)]
@@ -238,6 +240,11 @@ class WnoModel:
         if self.norm is None:
             return np.asarray(targets, dtype=np.float64)
         return (targets - self.norm.out_mean) / self.norm.out_std
+
+
+def _chunk_size(x: np.ndarray) -> int:
+    """Samples per chunk of a (B, *grid) batch: max(1, CHUNK_POINTS // grid points)."""
+    return max(1, CHUNK_POINTS // math.prod(x.shape[1:]))
 
 
 def _parameter_layout(config: WnoConfig) -> dict:
@@ -390,26 +397,32 @@ def save_model(model: WnoModel, path):
 
 
 def load_model(path) -> WnoModel:
-    """Read a checkpoint; a parameter missing, extra or off the shape its
-    stored config implies raises FormatError naming it and the file."""
+    """Read a checkpoint; a stored config value that `WnoConfig` rejects, or
+    a parameter missing, extra or off the shape its stored config implies,
+    raises FormatError naming it and the file."""
     with sio.reading(path) as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
         width, layers, levels, wid, aid, proj_hidden, in_ch = sio.read_u32(fh, 7)
         slope = sio.read_f64(fh)
         grid = sio.read_grid(fh)
         norm = NormStats(*sio.read_f64(fh, 4)) if sio.read_u32(fh) else None
-        cfg = WnoConfig(
-            grid=grid,
-            width=width,
-            layers=layers,
-            levels=levels,
-            wavelet=sio.lookup_id(_WAVELET_NAMES, wid, "wavelet"),
-            activation=sio.lookup_id(_ACTIVATION_NAMES, aid, "activation"),
-            proj_hidden=proj_hidden,
-            in_channels=in_ch,
-            normalize=norm is not None,
-            surrogate_slope=slope,
-        )
+        wavelet = sio.lookup_id(_WAVELET_NAMES, wid, "wavelet")
+        activation = sio.lookup_id(_ACTIVATION_NAMES, aid, "activation")
+        try:
+            cfg = WnoConfig(
+                grid=grid,
+                width=width,
+                layers=layers,
+                levels=levels,
+                wavelet=wavelet,
+                activation=activation,
+                proj_hidden=proj_hidden,
+                in_channels=in_ch,
+                normalize=norm is not None,
+                surrogate_slope=slope,
+            )
+        except ValueError as exc:  # a stored value the config rejects
+            raise sio.FormatError(f"bad stored config: {exc}") from exc
         layout = _parameter_layout(cfg)
         params = {}
         for _ in range(sio.read_u32(fh)):
@@ -481,15 +494,22 @@ def train(
 ) -> list[float]:
     """Mini-batch training; returns the per-epoch mean loss trace.
 
-    Each step runs on both cores: the forward and backward split their
-    per-sample work over `core.halves`, with every OpenBLAS at one thread
-    for the whole loop (`core.one_blas_thread`). The split does not
-    change any result. One step's graph is live at a time: `ad.backward`
-    frees a step's graph as it goes, before the next forward builds one.
-    A step keeps only what its backward reads (`forward_nodes` releases
-    the rest). The projection (`ad.projection`) keeps one (B, N,
-    proj_hidden) array, gelu's cdf, and works block by block otherwise,
-    so a step's peak is that array plus the layers' width-sized arrays.
+    Each step runs its forward and backward on chunks of `_chunk_size`
+    samples of the mini-batch, as `predict` does, and `ad.backward`
+    accumulates every chunk's gradients into `Parameter.grad` before the
+    Adam step. Every loss is a per-sample mean, so each chunk's loss is
+    scaled by the chunk's share of the batch: the summed gradients and
+    the logged loss are the batch's, up to the order of the sums (a batch
+    of one chunk keeps every bit). `ad.backward` frees a chunk's graph as
+    it goes, so one chunk's graph is live at a time, and a step's peak
+    does not grow with the batch. Within a chunk, `forward_nodes` keeps
+    only what the backward reads, and the projection (`ad.projection`)
+    keeps one (chunk, N, proj_hidden) array, gelu's cdf.
+
+    On the main thread, each chunk splits its per-sample work over two
+    cores (`core.halves`); on a `core.member_map` pool thread it runs
+    whole. Every OpenBLAS runs at one thread for the whole loop
+    (`core.one_blas_thread`). Neither changes any result.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -497,6 +517,7 @@ def train(
         raise ValueError("dataset must be non-empty with matched inputs/targets")
     n = len(inputs)
     batch_size = max(1, min(batch_size, n))
+    step = _chunk_size(inputs)
     y_norm = model.normalize_targets(targets)
     gen = rng.generator()
     state = AdamState()
@@ -508,14 +529,17 @@ def train(
             for start in range(0, n, batch_size):
                 idx = perm[start : start + batch_size]
                 model.zero_grads()
-                pred, gates = model.forward_nodes(inputs[idx])
-                loss = _loss_node(pred, gates, y_norm[idx], loss_config)
-                val = float(loss.value)
-                if not np.isfinite(val):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
-                    )
-                ad.backward(loss)
+                val = 0.0
+                for part in (idx[c : c + step] for c in range(0, len(idx), step)):
+                    pred, gates = model.forward_nodes(inputs[part])
+                    loss = ad.scale(_loss_node(pred, gates, y_norm[part], loss_config),
+                                    len(part) / len(idx))
+                    if not np.isfinite(loss.value):
+                        raise TrainingDiverged(
+                            f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
+                        )
+                    ad.backward(loss)
+                    val += float(loss.value)
                 adam_step(model.parameters(), state, lr=lr)
                 total += val * len(idx)
                 seen += len(idx)

@@ -13,6 +13,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from opcert import autodiff as ad
 from opcert import cli
+from opcert import core
 from opcert import conformal as cf
 from opcert import datagen as dg
 from opcert import ensemble as ens
@@ -180,6 +182,29 @@ def test_train_matches_library_bytes(root, model, tmp_path):
         assert (tmp_path / name).read_bytes() == (root / model / name).read_bytes(), name
 
 
+def test_quantile_pair_trains_pooled_as_serially(root, tmp_path, monkeypatch):
+    # the lo/hi pair trains one model per core; on one CPU it trains serially
+    if not core._blas_thread_controls():
+        pytest.skip("no OpenBLAS thread setter: the pair would train serially")
+    on_main = []
+    train = no.train
+    monkeypatch.setattr(no, "train", lambda *a, **k: (
+        on_main.append(threading.current_thread() is threading.main_thread()),
+        train(*a, **k))[1])
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_available_cpus", lambda cpus=cpus: cpus)
+        on_main.clear()
+        out = tmp_path / str(cpus)
+        assert opcert("train", "--config", root / "q-wno.cfg", "--data", root / "data",
+                      "--out", out) == 0
+        names = ("lo.ckpt", "hi.ckpt", "loss_traces.csv")
+        outputs[cpus] = ([(out / name).read_bytes() for name in names], list(on_main))
+    assert outputs[1][1] == [True, True] and outputs[2][1] == [False, False]
+    assert outputs[1][0] == outputs[2][0]
+    assert outputs[1][0] == [(root / "q-wno" / name).read_bytes() for name in names]
+
+
 # --------------------------------------------------------------------------
 # failure paths and their exit codes
 # --------------------------------------------------------------------------
@@ -282,6 +307,46 @@ def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
     assert f"unknown {field} id 99" in err and str(path) in err
 
 
+def test_checkpoint_config_value_off_its_range_exits_3(root, tmp_path, capsys):
+    # width (the first u32 after the magic and the version) = 0 used to exit 2
+    # with WnoConfig's bare message, naming neither the file nor the key
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(root / "rp-wno", ckpt)
+    path = ckpt / "member_000.ckpt"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:])
+    assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
+                  "--out", tmp_path / "q.qfield") == 3
+    err = capsys.readouterr().err
+    assert "'width' must be >= 1, got 0" in err and str(path) in err
+    assert not (tmp_path / "q.qfield").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "1.0", "0.0", "-0.05", "nan"])
+def test_calibrate_alpha_off_the_unit_interval_exits_2(root, tmp_path, capsys, alpha):
+    # 1.5 used to exit 0 with an arbitrary order statistic, 1.0 with the largest score
+    assert opcert("calibrate", "--ckpt", root / "rp-wno", "--data", root / "data",
+                  "--alpha", alpha, "--out", tmp_path / "q.qfield") == 2
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "q.qfield").exists()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0])
+def test_qfield_alpha_off_the_unit_interval_exits_3(root, tmp_path, capsys, alpha):
+    qf = cf.load_qfield(root / "rp-wno" / "q.qfield")
+    path = tmp_path / "q.qfield"
+    with sio.replacing(path) as fh:  # the layout of cf.save_qfield, unchecked
+        sio.start_file(fh, sio.QFIELD_MAGIC)
+        sio.write_grid(fh, qf.grid)
+        sio.write_f64(fh, alpha)
+        sio.write_array(fh, qf.values)
+    assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", path,
+                  "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "alpha must lie in (0, 1)" in err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["kind", "empty", "grid", "mixed", "dims"])
 def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
     data = tmp_path / "data"
@@ -355,6 +420,7 @@ def test_nan_qfield_exits_3(root, tmp_path, capsys):
     ("n_c", "two"), ("prior_weight", "heavy"), ("seed_streams", "1,x"),
     ("seed_streams", "7"),  # one stream for two members
     ("n_c", "0"),
+    ("prior_weight", "nan"),  # used to calibrate into an all-NaN q and exit 2
 ])
 def test_bad_ensemble_manifest_exits_3(root, tmp_path, capsys, key, value):
     ckpt = tmp_path / "ckpt"
@@ -435,6 +501,7 @@ import resource, sys
 import numpy as np
 from opcert import autodiff as ad
 from opcert import cli
+from opcert import core
 if sys.argv[1] == "main":
     cli.main(["generate-data", "--config", "missing.cfg", "--out", "unused"])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -465,6 +532,7 @@ import resource, threading
 import numpy as np
 from opcert import autodiff as ad
 from opcert import cli
+from opcert import core
 cli._retain_heap()
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

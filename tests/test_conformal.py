@@ -69,6 +69,12 @@ class TestQuantile:
         with pytest.raises(ValueError):
             cf.conformal_quantile([], 0.05)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.05, float("nan")])
+    def test_alpha_off_the_unit_interval_rejected(self, alpha):
+        # k = ceil((1 - alpha)(n + 1)) <= 0 used to index from the end
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            cf.conformal_quantile(np.arange(20.0), alpha)
+
     def test_matches_sort_oracle_randomized(self):
         gen = SeededRng(4).generator()
         for _ in range(500):
@@ -350,6 +356,10 @@ class TestQFieldContainer:
         # a NaN half-width became an infinite band, read as 100% coverage
         with pytest.raises(ValueError, match="2 of 5 conformal parameters are NaN"):
             cf.QField(np.array([1.0, np.nan, 1.0, np.nan, 1.0]), GridSpec((5,)), 0.05)
+
+    def test_alpha_off_the_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            cf.QField(np.ones(2), GridSpec((2,)), 1.5)
 
     def test_serialization_roundtrip(self, tmp_path):
         grid = GridSpec((4, 4))

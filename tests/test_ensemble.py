@@ -1,5 +1,7 @@
 import hashlib
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +222,25 @@ class TestMemberPool:
         assert h1 == h2 and t1 == t2
         assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
 
+    def test_divergence_names_the_lowest_diverged_member(self, monkeypatch):
+        # members 1 and 2 diverge on the pool, member 2 first; the error names 1
+        train = no.train
+
+        def diverging(model, inputs, targets, loss, epochs, batch, rng, lr):
+            k = (rng.stream - ens._BATCH_OFF) // ens._MEMBER_BLOCK
+            if k == 1:
+                time.sleep(0.2)
+            if k > 0:
+                raise no.TrainingDiverged(f"non-finite loss at epoch 0, batch {k}")
+            return train(model, inputs, targets, loss, epochs, batch, rng, lr=lr)
+
+        monkeypatch.setattr(no, "train", diverging)
+        monkeypatch.setattr(core, "_available_cpus", lambda: 3)
+        x = SeededRng(19).generator().standard_normal((4, 32))
+        with pytest.raises(ens.EnsembleTrainingError, match="member 1 diverged: .*batch 1"):
+            ens.rp_train(x, 0.5 * x, tiny_config(), n_c=3, prior_weight=1.0,
+                         rng=SeededRng(0), epochs=1, batch_size=2)
+
     def test_more_threads_than_cores_match_serial(self, monkeypatch):
         # six threads with frequent switches, filling the wavelet cache concurrently
         cfg = tiny_config(grid=GridSpec((64,)))
@@ -241,7 +262,7 @@ class TestMemberPool:
 
 
 class TestTwoCoreTraining:
-    """Each training step splits its per-sample work over two cores, bit for bit."""
+    """Members train one per core, and a lone model splits each step, bit for bit."""
 
     @staticmethod
     def data():
@@ -253,20 +274,30 @@ class TestTwoCoreTraining:
         ("gelu", no.LossConfig("l2")),
         ("vsn", no.LossConfig("slf", alpha_w=1.0, beta_w=0.1)),
     ])
-    def test_rp_train_matches_one_cpu(self, on_cpus, activation, loss):
+    def test_rp_train_matches_one_cpu(self, on_cpus, monkeypatch, activation, loss):
+        if not core._blas_thread_controls():
+            pytest.skip("no OpenBLAS thread setter: members would train serially")
         x, y = self.data()
         cfg = tiny_config(grid=GridSpec((1024,)), width=16, layers=2, levels=3,
                           wavelet="db6", activation=activation, normalize=True)
+        on_main = []
+        train = no.train
+        monkeypatch.setattr(no, "train", lambda *a, **k: (
+            on_main.append(threading.current_thread() is threading.main_thread()),
+            train(*a, **k))[1])
 
         def run():
+            on_main.clear()
             ensemble, traces = ens.rp_train(x, y, cfg, n_c=2, prior_weight=1.0,
                                             rng=SeededRng(61), loss_config=loss,
                                             epochs=2, batch_size=5)
-            return [param_hash(m.trainable) for m in ensemble.members], traces
+            return [param_hash(m.trainable) for m in ensemble.members], traces, list(on_main)
 
-        (h1, t1), none = on_cpus(1, run)
-        (h2, t2), splits = on_cpus(2, run)
-        assert none == 0 and splits > 0
+        (h1, t1, serial), none = on_cpus(1, run)
+        (h2, t2, pooled), splits = on_cpus(2, run)
+        # on two CPUs both members train on pool threads, where halves never splits
+        assert serial == [True, True] and pooled == [False, False]
+        assert none == 0 and splits == 0
         assert h1 == h2 and t1 == t2
 
     def test_quantile_model_matches_one_cpu(self, on_cpus):

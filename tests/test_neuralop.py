@@ -390,6 +390,65 @@ class TestTraining:
         assert two <= 1.05 * one, (one, two)
 
 
+class TestChunkedStep:
+    """A step runs on chunks of the batch and sums their gradients."""
+
+    @pytest.mark.parametrize("activation, loss", [
+        ("gelu", no.LossConfig("l2")),
+        ("gelu", no.LossConfig("pinball", eta=0.1)),
+        ("vsn", no.LossConfig("slf", alpha_w=1.0, beta_w=0.1)),
+    ])
+    def test_chunks_match_one_chunk(self, monkeypatch, activation, loss):
+        # batches of 5 and 2 samples; chunks of 2 samples split them 2 + 2 + 1 and 2
+        gen = SeededRng(70).generator()
+        x = gen.standard_normal((7, 64))
+        y = 0.5 * np.roll(x, 3, axis=1) + 0.1
+        sizes = []
+        forward = no.WnoModel.forward_nodes
+
+        def counted(self, inputs):
+            sizes.append(len(inputs))
+            return forward(self, inputs)
+
+        monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
+
+        def run(points):
+            monkeypatch.setattr(no, "CHUNK_POINTS", points)
+            sizes.clear()
+            model = no.WnoModel.initialize(small_config(activation=activation), SeededRng(71))
+            trace = no.train(model, x, y, loss, 3, 5, SeededRng(72))
+            return parameter_vector(model), np.array(trace), list(sizes)
+
+        w1, t1, one = run(1 << 20)
+        w2, t2, chunked = run(2 * 64)
+        assert one == [5, 2] * 3 and chunked == [2, 2, 1, 2] * 3
+        assert not np.array_equal(w1, w2)  # the sums' order did change
+        assert np.max(np.abs(w2 - w1)) <= 1e-12 * np.max(np.abs(w1))
+        assert np.max(np.abs(t2 - t1)) <= 1e-12 * np.max(np.abs(t1))
+
+    def test_peak_does_not_grow_with_the_batch(self):
+        # a 1024-point grid runs 4 samples per chunk; whole batches peaked
+        # about four times higher at 32 samples than at 8
+        cfg = no.WnoConfig(grid=GridSpec((1024,)))
+        gen = SeededRng(73).generator()
+        x = gen.standard_normal((32, 1024))
+        y = 0.5 * x
+
+        def peak(batch):
+            model = no.WnoModel.initialize(cfg, SeededRng(74))
+            tracemalloc.start()
+            try:
+                no.train(model, x[:batch], y[:batch], no.LossConfig("l2"), 1, batch,
+                         SeededRng(75))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # builds the cached wavelet pair outside the comparison
+        small, large = peak(8), peak(32)
+        assert large <= 1.1 * small, (small, large)
+
+
 class TestStepMemory:
     """A training step keeps only the arrays that its gradient closures read."""
 
@@ -546,7 +605,7 @@ class TestChunkedPredict:
 
         monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
         got = model.predict(x)
-        step = max(1, no.PREDICT_CHUNK_POINTS // int(np.prod(spatial)))
+        step = max(1, no.CHUNK_POINTS // int(np.prod(spatial)))
         assert chunks == [min(step, batch - s) for s in range(0, batch, step)]
         assert len(chunks) > 1
         assert np.array_equal(got, want)

@@ -6,14 +6,14 @@ the same draw evaluated at two resolutions gives samples of one underlying
 function; that is what makes resolution-transfer experiments meaningful.
 Per-sample random streams are derived from (seed, split base + index),
 which keeps the splits' streams disjoint and regeneration bit-identical.
-The 1D field basis is cached per point set. The transport solver
-integrates diffusion exactly (an integrating factor), so its step has no
-stability bound on the viscous term, and steps the advection with
-third-order Adams-Bashforth after a two-step Runge-Kutta start: 106
-advection evaluations per default solve. An evaluation costs two
-transform calls: one inverse transform of the stacked spectra of u and
-u_x, whose u also serves the blow-up check, and one forward transform of
-the product.
+The 1D field basis is cached per point set. Viscous Burgers is solved
+exactly, with no time steps, through the Cole-Hopf transform (Hopf, CPAM
+1950; Cole, Q. Appl. Math. 1951): in the frame that moves with the
+conserved mean, u is -2 nu d/dx log phi for a phi that solves the heat
+equation, and on the periodic grid that is four transform calls per
+solve. The solve keeps eps e^R relative precision, R growing like
+1/viscosity, so it refuses a draw whose R would cost more than 1e-6; no
+default draw comes near that (see `solve_burgers`).
 
 Only the Darcy solve loads `scipy.sparse`, inside `solve_darcy_fd`. Every
 command imports this module for its dataset reader, and a module-level
@@ -42,7 +42,7 @@ SPLIT_STREAM_BASE = {"train": 1 << 20, "calibration": 2 << 20, "test": 3 << 20}
 
 
 class SolverError(RuntimeError):
-    """Numerical solve failed; message carries the failing step/iteration."""
+    """Numerical solve failed or was refused; the message says why."""
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +155,6 @@ def sample_grf(spec: GrfSpec, rng: SeededRng, grid: GridSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class BurgersConfig:
     viscosity: float = 0.1
-    dt: float = 1.0 / 100.0
     solver_resolution: int = 512
     output_resolution: int = 128
     t_final: float = 1.0
@@ -165,86 +164,77 @@ class BurgersConfig:
             raise ValueError("solver resolution must be >= output resolution")
         if self.solver_resolution % self.output_resolution:
             raise ValueError("output resolution must divide solver resolution")
-        if self.viscosity <= 0 or self.dt <= 0:
-            raise ValueError("viscosity and dt must be positive")
+        if not 0 < self.viscosity < math.inf:
+            raise ValueError(f"viscosity must be positive and finite, got {self.viscosity!r}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
-        if self.steps < 1 or not math.isclose(self.steps * self.dt, self.t_final, rel_tol=1e-9):
-            raise ValueError(f"dt {self.dt!r} must divide t_final {self.t_final!r}")
 
-    @property
-    def steps(self) -> int:
-        """Number of time steps from 0 to t_final."""
-        return round(self.t_final / self.dt)
+
+# the largest range R = max - min of log(phi_0) that `solve_burgers` accepts:
+# eps e^R <= 1e-6, so R up to ~22.2
+_PHI_RANGE_MAX = math.log(1e-6 / np.finfo(np.float64).eps)
 
 
 def solve_burgers(u0: np.ndarray, config: BurgersConfig) -> np.ndarray:
-    """March u_t + u u_x = nu u_xx to t_final on the periodic unit interval.
+    """Solve u_t + u u_x = nu u_xx at t_final on the periodic unit interval.
 
-    Third-order integrating-factor Adams-Bashforth (IF-AB3; Cox & Matthews,
-    J. Comput. Phys. 2002) with 2/3-rule dealiasing. With E = exp(-nu
-    (2 pi k)^2 dt) and N the dealiased -(u u_x)^ at the last three steps,
-    newest first, a step is
+    Exact, with no time steps, through the Cole-Hopf transform (Hopf, CPAM
+    1950; Cole, Q. Appl. Math. 1951). The mean c of u0 is conserved, and
+    u(x, t) = c + w(x - ct, t), where w = -2 nu d/dx log phi and phi solves
+    the heat equation phi_t = nu phi_xx from phi_0 = exp(-W / (2 nu)), W the
+    periodic antiderivative of u0 - c. On the grid of n points that is:
 
-        u_hat <- E (u_hat + dt (23/12 N_0 - 16/12 E N_1 + 5/12 E^2 N_2)):
+        W_hat_k = u_hat_k / (2 pi i k), with the k = 0 and Nyquist entries 0
+        phi_0 = exp(-W / (2 nu) - max)
+        phi_hat(T) = rfft(phi_0) exp(-nu (2 pi k)^2 T - 2 pi i k c T)
+        [phi, phi_x] = irfft([phi_hat, 2 pi i k phi_hat])
+        u = c - 2 nu phi_x / phi
 
-    diffusion is integrated exactly, so the viscous term sets no step
-    bound, and the same factor carries the advection history. The first
-    two steps are integrating-factor (Lawson) RK4, so the start-up keeps
-    the third order. A solve evaluates N 4 + 4 + (steps - 2) times: 106 at
-    the default dt = 1/100, where IF-AB2 at 1/200 took 200. Each evaluation
-    makes two transform calls: one inverse transform of the stacked spectra
-    [u_hat, ik u_hat] gives u and u_x, the same u feeds the blow-up check,
-    and one forward transform of u u_x gives N.
+    The one factor applies the heat decay and the shift by cT. A solve
+    makes four transform calls and no time steps, so its only error is the
+    grid's representation of phi. Over the 350 seed-0 default draws it is
+    within 1.2e-9 relative L2 of an IF-AB3 solve at dt = 1/8000, which is
+    that solve's own time error; IF-AB3 at dt = 1/100 was 1.6e-4 off.
 
-    Validated at the default nu = 0.1 on the default 200/50/100 splits:
-    0 failures in 7000 draws at 512 points (seeds 0-19) and in 1050 at
-    1024 (seeds 0-2). Over the 350 seed-0 draws, the relative L2 error
-    against an IF-AB2 dt = 1/8000 solve is at most 1.6e-4 (median
-    5.1e-6), and draws first fail at dt = 1/25 (3; none at 1/40). At
-    nu = 0.02 the default dt loses 3 of 30 seed-1 draws, and dt = 1/200
-    loses none, so a smaller viscosity needs its own dt.
+    phi_0 spans e^-R..1, where R is the range max - min of W / (2 nu), and
+    phi_x / phi keeps only eps e^R of relative precision where phi is
+    small. R grows like 1/nu, so a draw with R above ~22.2 (eps e^R >
+    1e-6) is refused with a SolverError before phi_0 is formed, as is a
+    non-finite u0. On the default 200/50/100 splits at 512 points no draw
+    is refused at nu = 0.1 (7000 draws, seeds 0-19, R at most 3.9) or at
+    nu = 0.02 (700 draws, seeds 0-1, R at most 16.4); at 1024 points none
+    of 1050 (seeds 0-2) is. At nu = 0.01 R reaches 32.8 and 34 of those
+    700 draws are refused, so nu = 0.02 is the low end of the range served.
     Returns the solution subsampled to the output resolution.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     n = config.solver_resolution
     if u0.shape != (n,):
         raise ValueError(f"initial condition must live on the solver grid ({n},)")
-    dt = config.dt
+    if not np.all(np.isfinite(u0)):
+        raise SolverError("non-finite initial condition")
+    nu, t = config.viscosity, config.t_final
     k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers
     ik = 2j * np.pi * k
-    neg_dealias = np.where(k <= n / 3.0, -1.0, 0.0)  # 2/3 rule and N's sign
-    diffusion = -config.viscosity * (2.0 * np.pi * k) ** 2
-    half, decay = np.exp(0.5 * dt * diffusion), np.exp(dt * diffusion)
-    # the AB3 weights times the factors that carry each term to the new step
-    w0, w1, w2 = (dt * 23 / 12) * decay, (-dt * 16 / 12) * decay**2, (dt * 5 / 12) * decay**3
-    spectra = np.empty((2, k.size), dtype=np.complex128)  # [u_hat, ik u_hat]
-
-    def advection(v_hat, step):
-        spectra[0] = v_hat
-        np.multiply(ik, v_hat, out=spectra[1])
-        u, ux = np.fft.irfft(spectra, n=n)
-        umax = float(np.abs(u).max())
-        if not math.isfinite(umax) or umax > 1e6:
-            raise SolverError(f"blow-up at step {step} (|u| = {umax:.3g})")
-        return np.fft.rfft(u * ux) * neg_dealias
-
-    u_hat = np.fft.rfft(u0)
-    older = []  # N at the last two steps, newest first
-    for step in range(config.steps):
-        now = advection(u_hat, step)
-        if step < 2:  # Lawson RK4 start-up
-            b = advection(half * (u_hat + 0.5 * dt * now), step)
-            c = advection(half * u_hat + 0.5 * dt * b, step)
-            d = advection(decay * u_hat + dt * half * c, step)
-            u_hat = decay * u_hat + dt / 6 * (decay * now + 2 * half * (b + c) + d)
-        else:
-            u_hat = decay * u_hat + w0 * now + w1 * older[0] + w2 * older[1]
-        older = [now] + older[:1]
-    u_final = np.fft.irfft(u_hat, n=n)
-    if not np.all(np.isfinite(u_final)):
-        raise SolverError(f"non-finite solution after {config.steps} steps")
-    return u_final[:: n // config.output_resolution]
+    if n % 2 == 0:
+        ik[-1] = 0.0  # the Nyquist mode has no derivative on the grid
+    with np.errstate(over="ignore", invalid="ignore"):  # |u0| near the float limit
+        u_hat = np.fft.rfft(u0)
+        w_hat = np.divide(u_hat, ik, out=np.zeros_like(u_hat), where=ik != 0)
+        exponent = np.fft.irfft(w_hat, n=n) * (-0.5 / nu)
+        top = exponent.max()
+        spread = float(top - exponent.min())
+    if not spread <= _PHI_RANGE_MAX:  # NaN or inf once the transforms overflow
+        raise SolverError(
+            f"viscosity {nu!r}: the Cole-Hopf exponent range R = {spread:.3g} exceeds "
+            f"{_PHI_RANGE_MAX:.3g}, where eps e^R passes 1e-6"
+        )
+    c = u_hat[0].real / n
+    phi_hat = np.fft.rfft(np.exp(exponent - top))
+    phi_hat *= np.exp(-nu * t * (2.0 * np.pi * k) ** 2 - ik * (c * t))
+    phi, phi_x = np.fft.irfft(np.stack([phi_hat, ik * phi_hat]), n=n)
+    u = c - (2.0 * nu) * (phi_x / phi)
+    return u[:: n // config.output_resolution]
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +423,6 @@ def make_dataset(
         manifest.update(
             {
                 "viscosity": repr(config.viscosity),
-                "dt": repr(config.dt),
                 "solver_resolution": config.solver_resolution,
                 "output_resolution": config.output_resolution,
                 "reference_protocol": "1000/50/100 samples at resolution 1024",

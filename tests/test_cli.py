@@ -458,7 +458,7 @@ def test_superres_with_infinite_q_exits_6(root, tmp_path, capsys):
 
 def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys, monkeypatch):
     # a NaN initial condition for calibration sample 6 only, drawn after the
-    # train split; the solver's own blow-up check rejects it
+    # train split; the solver's non-finite check rejects it
     failing = SeededRng(0).substream(dg.SPLIT_STREAM_BASE["calibration"] + 6)
     draw = dg.grf_coefficients
 

@@ -47,17 +47,10 @@ backward recomputes each block's gelu input from the narrow one. `vsn`
 runs gelu's kernels on gate * x, so it too forms its derivative in the
 backward, over the cdf it keeps.
 
-On the main thread, the per-sample work of a step runs on two cores
-through `core.halves` (on a `core.member_map` pool thread it runs whole):
-the gelu kernels over flat halves of their arrays, the matmuls of
-`affine`, `conv1x1` (forward and input gradient) and the wavelet
-analysis and synthesis over halves of the batch axis, and `projection`
-over halves of its blocks. Each half makes the same per-element ufunc or
-per-sample BLAS calls as the whole, so the results do not depend on the
-split. The other weight-gradient reductions, bias sums and losses stay
-whole: splitting them would change their summation order. `projection`
-sums one partial per block instead, in block order, whatever the split.
-Only private kernels run on the helper thread.
+Every op runs its kernels once over its whole arrays, on the calling
+thread; `core.member_map` runs whole models one per core. The weight
+gradients, bias sums and losses reduce in one fixed order, and
+`projection` sums one partial per block, in block order.
 
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate for the
@@ -74,7 +67,7 @@ import math
 import numpy as np
 from scipy.special import erf, expit
 
-from .core import ShapeError, halves
+from .core import ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -161,20 +154,10 @@ def scale(a: Node, c: float) -> Node:
 
 
 def _matmul(a: np.ndarray, m: np.ndarray, bias=None) -> np.ndarray:
-    """a @ m (+ bias) for a (..., K) and m (K, M); (B, N, K) splits over B."""
-    if a.ndim < 3:
-        out = a @ m
-        if bias is not None:
-            out += bias
-        return out
-    out = np.empty(a.shape[:-1] + (m.shape[1],))
-
-    def kernel(s):
-        part = np.matmul(a[s], m, out=out[s])
-        if bias is not None:
-            part += bias
-
-    halves(kernel, len(a), max(math.prod(a.shape[1:]), math.prod(out.shape[1:])))
+    """a @ m (+ bias) for a (..., K) and m (K, M)."""
+    out = a @ m
+    if bias is not None:
+        out += bias
     return out
 
 
@@ -225,7 +208,7 @@ def layer_sum(a: Node, b: Node, bias: Node) -> Node:
 # The gelu kernels apply, in place and in this order, the one-shot formulas
 #   cdf = 0.5 * (1 + erf(x / sqrt2)),   value = x * cdf,
 #   g * (cdf + x * (c * exp((-0.5 * x) * x))),   c = 1 / sqrt(2 pi).
-# `gelu` runs them over flat halves of its arrays, `projection` per block.
+# `gelu` runs them over its whole arrays, `projection` per block.
 _GELU_BLOCK = 2**16  # elements of the slope kernel's per-block temporary
 _PROJECTION_ROWS = 512  # rows of one sample per block of `projection`
 
@@ -254,8 +237,7 @@ def _slope_kernel(x, cdf, tmp, g=None):
 def _gelu_cdf_value(x: np.ndarray):
     """(cdf, x * cdf) of the erf-based gelu."""
     cdf, value = np.empty(x.shape), np.empty(x.shape)
-    xf, cf, vf = np.ravel(x), cdf.reshape(-1), value.reshape(-1)
-    halves(lambda s: _cdf_value_kernel(xf[s], cf[s], vf[s]), xf.size)
+    _cdf_value_kernel(x, cdf, value)
     return cdf, value
 
 
@@ -265,14 +247,10 @@ def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     The exp term goes through a temporary of at most _GELU_BLOCK elements.
     """
     xf, cf, gf = np.ravel(x), cdf.reshape(-1), np.ravel(g)
-
-    def kernel(s):
-        tmp = np.empty(min(_GELU_BLOCK, s.stop - s.start))
-        for lo in range(s.start, s.stop, _GELU_BLOCK):
-            b = slice(lo, min(lo + _GELU_BLOCK, s.stop))
-            _slope_kernel(xf[b], cf[b], tmp[: b.stop - lo], gf[b])
-
-    halves(kernel, xf.size)
+    tmp = np.empty(min(_GELU_BLOCK, xf.size))
+    for lo in range(0, xf.size, _GELU_BLOCK):
+        b = slice(lo, min(lo + _GELU_BLOCK, xf.size))
+        _slope_kernel(xf[b], cf[b], tmp[: b.stop - lo], gf[b])
     return cdf
 
 
@@ -299,15 +277,15 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     """gelu(x @ w1 + b1) @ w2 + b2 for x (..., N, C), w1 (C, H), w2 (H, O).
 
     The op works over blocks of at most _PROJECTION_ROWS rows of one
-    sample, run through `halves`, and keeps only gelu's (rows, H) cdf for
-    the backward, which recomputes each block's x @ w1 + b1 and never
-    erf. Blocks never straddle samples and split one at multiples of
+    sample, in order, and keeps only gelu's (rows, H) cdf for the
+    backward, which recomputes each block's x @ w1 + b1 and never erf.
+    Blocks never straddle samples and split one at multiples of
     _PROJECTION_ROWS, so OpenBLAS groups each row as in `affine`'s
     per-sample calls: the values and the input gradient are bitwise those
     of affine -> gelu -> affine. Each block writes its own partial weight
-    and bias gradients, summed in block order, so they do not depend on
-    the split. The first closure to run forms all five gradients; each
-    closure runs once, and a second call raises GraphError.
+    and bias gradients, summed in block order. The first closure to run
+    forms all five gradients; each closure runs once, and a second call
+    raises GraphError.
     """
     xv, w1v, b1v, w2v, b2v = (n.value for n in (x, w1, b1, w2, b2))
     if w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1:] != w1v.shape[:1] or (
@@ -331,37 +309,29 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
         h += b1v
         return h
 
-    def forward(s):
-        buf = np.empty((step, hidden))
-        for r in blocks[s]:
-            h = hidden_in(r, buf)
-            _cdf_value_kernel(h, cdf[r], h)
-            np.matmul(h, w2v, out=out[r])
-            out[r] += b2v
-
-    halves(forward, len(blocks), step * hidden)
+    buf = np.empty((step, hidden))
+    for r in blocks:
+        h = hidden_in(r, buf)
+        _cdf_value_kernel(h, cdf[r], h)
+        np.matmul(h, w2v, out=out[r])
+        out[r] += b2v
     grads = []
 
     def backward(g):
         gr = np.reshape(g, (n, -1))
         dx = np.empty(xr.shape)
         parts = [np.empty((len(blocks),) + p.shape) for p in (w1v, b1v, w2v, b2v)]
-
-        def kernel(s):
-            hbuf, tbuf = np.empty((step, hidden)), np.empty((step, hidden))
-            for i in range(s.start, s.stop):
-                r = blocks[i]
-                h, c = hidden_in(r, hbuf), cdf[r]
-                t = np.multiply(h, c, out=tbuf[: r.stop - r.start])  # gelu's value
-                np.matmul(t.T, gr[r], out=parts[2][i])
-                gr[r].sum(axis=0, out=parts[3][i])
-                _slope_kernel(h, c, t)
-                c *= np.matmul(gr[r], w2v.T, out=t)
-                np.matmul(c, w1v.T, out=dx[r])
-                np.matmul(xr[r].T, c, out=parts[0][i])
-                c.sum(axis=0, out=parts[1][i])
-
-        halves(kernel, len(blocks), step * hidden)
+        hbuf, tbuf = np.empty((step, hidden)), np.empty((step, hidden))
+        for i, r in enumerate(blocks):
+            h, c = hidden_in(r, hbuf), cdf[r]
+            t = np.multiply(h, c, out=tbuf[: r.stop - r.start])  # gelu's value
+            np.matmul(t.T, gr[r], out=parts[2][i])
+            gr[r].sum(axis=0, out=parts[3][i])
+            _slope_kernel(h, c, t)
+            c *= np.matmul(gr[r], w2v.T, out=t)
+            np.matmul(c, w1v.T, out=dx[r])
+            np.matmul(xr[r].T, c, out=parts[0][i])
+            c.sum(axis=0, out=parts[1][i])
         for p in parts:
             for i in range(1, len(blocks)):
                 p[0] += p[i]
@@ -427,28 +397,14 @@ def dot_const(x: Node, weights: np.ndarray) -> Node:
 
 
 def _separable(v: np.ndarray, mats, shape) -> np.ndarray:
-    """Apply mats[i] along grid axis i of (..., prod(shape), C) fields.
-
-    The fields split over halves of their leading (batch) axes.
-    """
+    """Apply mats[i] along grid axis i of (..., prod(shape), C) fields."""
     ch = v.shape[-1]
-    stack = v.reshape((-1,) + v.shape[-2:])
-    dims = [tuple(shape)]
+    cur, grid = v.reshape((-1,) + v.shape[-2:]), tuple(shape)
     for i, m in enumerate(mats):
-        dims.append(dims[i][:i] + (m.shape[0],) + dims[i][i + 1 :])
-    out = np.empty((len(stack), math.prod(dims[-1]), ch))
-
-    def blocks(a, i, grid):
-        return a.reshape((len(a), math.prod(grid[:i]), grid[i], math.prod(grid[i + 1 :]) * ch))
-
-    def kernel(s):
-        cur = stack[s]
-        for i, m in enumerate(mats):
-            dst = blocks(out[s], i, dims[i + 1]) if i == len(mats) - 1 else None
-            cur = np.matmul(m, blocks(cur, i, dims[i]), out=dst)
-
-    halves(kernel, len(stack), max(math.prod(stack.shape[1:]), math.prod(out.shape[1:])))
-    return out.reshape(v.shape[:-2] + out.shape[1:])
+        cur = m @ cur.reshape((len(cur), math.prod(grid[:i]), grid[i],
+                               math.prod(grid[i + 1 :]) * ch))
+        grid = grid[:i] + (m.shape[0],) + grid[i + 1 :]
+    return cur.reshape(v.shape[:-2] + (math.prod(grid), ch))
 
 
 def _lowpass(x: Node, mats) -> Node:

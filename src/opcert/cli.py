@@ -15,12 +15,13 @@ free arrays of up to tens of MB per call; with glibc's defaults they are
 handed back to the kernel and faulted in again on the next call. Both
 settings are needed, because fixing only the trim threshold also turns
 off glibc's dynamic mmap threshold, so every large array is mmap'd anew.
-It also limits glibc to one malloc arena: training and inference run
-one ensemble member per core on a thread pool (`core.member_map`), and
-each pool thread would otherwise get an arena of its own, whose freed
-arrays the other threads and later stages cannot reuse. `mallopt` is
-glibc's, so where the C library lacks it (musl, macOS) this step does
-nothing. Importing the package changes no allocator setting.
+It also limits glibc to one malloc arena: training, inference and the
+spiking report run one ensemble member per core on a thread pool
+(`core.member_map`), and each pool thread would otherwise get an arena
+of its own, whose freed arrays the other threads and later stages
+cannot reuse. `mallopt` is glibc's, so where the C library lacks it
+(musl, macOS) this step does nothing. Importing the package changes no
+allocator setting.
 """
 
 from __future__ import annotations
@@ -350,9 +351,7 @@ def cmd_spiking_report(args) -> int:
     if kind != "rp":
         raise no.NonSpikingModelError("spiking report needs an ensemble checkpoint")
     data_kind, grid, test_in, _ = _load_split(args.data, "test")
-    per_member = []
-    for member in model.members:
-        per_member.append(no.spiking_activity(member.trainable, test_in))
+    per_member = member_map(lambda m: no.spiking_activity(m.trainable, test_in), model.members)
     activity = np.mean(per_member, axis=0)
     _write_csv(args.out, [["site", "activity_percent"]] + [
         [i, repr(float(pct))] for i, pct in enumerate(activity)

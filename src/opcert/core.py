@@ -7,27 +7,21 @@ allowed is a python scalar. Randomness is counter-based (Philox) so that a
 (seed, stream) pair yields the same draws regardless of how many other
 streams were consumed, serially or in parallel.
 
-The package has one parallelism policy: every core runs one piece of
-work, and every loaded OpenBLAS runs on one thread meanwhile
-(`one_blas_thread`), so its workers do not spin on the cores the pieces
-need. It has two tools. `member_map` runs independent models (ensemble
-members, a quantile pair) one per core on a thread pool; training and
-inference both use it. `halves` splits one per-sample kernel of a single
-model in two: the main thread computes one half and one helper thread the
-other, into the same preallocated output; a model that runs alone on the
-main thread (a one-member ensemble, the spiking report) uses it. The two
-never nest: `halves` runs whole on any thread but the main one.
-numpy's ufuncs and matmuls release the GIL, so the threads overlap; every
-element goes through the same ufunc or BLAS call as in a serial run, so
-results are bit-identical to it.
+The package has one parallelism policy and one tool for it. `member_map`
+runs independent models (ensemble members, a quantile pair) one per core
+on a thread pool, while every loaded OpenBLAS runs on one thread
+(`one_blas_thread`), so its workers do not spin on the cores the models
+need. Training, inference and the spiking report all use it; a single
+model runs whole on the calling thread. numpy's ufuncs and matmuls
+release the GIL, so the threads overlap; each model makes the same ufunc
+and BLAS calls as in a serial run, so results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -230,45 +224,3 @@ def member_map(fn, items) -> list:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-# --------------------------------------------------------------------------
-# one kernel on two cores
-# --------------------------------------------------------------------------
-
-# below this many elements a split costs more than it saves
-SPLIT_MIN = 1 << 16
-
-_helper = None  # one-thread executor, made by the first split, never at import
-
-
-def halves(kernel, n: int, item_size: int = 1) -> None:
-    """kernel(slice(0, n)), computed as two halves on two cores.
-
-    kernel(s) must write items s of a preallocated output and touch no
-    other item; one item spans item_size elements of the larger of the
-    kernel's input and output. The helper thread runs kernel(slice(h, n))
-    while the caller runs kernel(slice(0, h)); both halves finish before
-    an exception of either propagates. The call stays whole, on the
-    calling thread, when n * item_size < SPLIT_MIN, when n < 2, on any
-    thread but the main one (so `member_map`'s pool never nests) and when
-    one CPU is all there is.
-    """
-    global _helper
-    if (
-        n < 2
-        or n * item_size < SPLIT_MIN
-        or threading.current_thread() is not threading.main_thread()
-        or _available_cpus() < 2
-    ):
-        kernel(slice(0, n))
-        return
-    if _helper is None:
-        _helper = ThreadPoolExecutor(max_workers=1)
-    h = (n + 1) // 2
-    future = _helper.submit(kernel, slice(h, n))
-    try:
-        kernel(slice(0, h))
-    finally:
-        wait((future,))
-    future.result()

@@ -506,10 +506,10 @@ def train(
     only what the backward reads, and the projection (`ad.projection`)
     keeps one (chunk, N, proj_hidden) array, gelu's cdf.
 
-    On the main thread, each chunk splits its per-sample work over two
-    cores (`core.halves`); on a `core.member_map` pool thread it runs
-    whole. Every OpenBLAS runs at one thread for the whole loop
-    (`core.one_blas_thread`). Neither changes any result.
+    The model trains on the calling thread; ensembles and the quantile
+    pair train one model per core through `core.member_map`. Every
+    OpenBLAS runs at one thread for the whole loop
+    (`core.one_blas_thread`), which changes no result.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

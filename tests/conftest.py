@@ -1,18 +1,6 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from opcert import core
-
-
-class CountingExecutor(ThreadPoolExecutor):
-    def __init__(self):
-        super().__init__(max_workers=1)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
 
 
 @pytest.fixture
@@ -22,17 +10,13 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def on_cpus(monkeypatch):
-    """on_cpus(cpus, fn) -> (fn(), number of core.halves calls that split)."""
-    helper = CountingExecutor()
-    monkeypatch.setattr(core, "_helper", helper)
+    """on_cpus(cpus, fn) -> fn(), run with `cpus` CPUs available."""
 
     def run(cpus, fn):
         monkeypatch.setattr(core, "_available_cpus", lambda: cpus)
-        helper.submitted = 0
-        return fn(), helper.submitted
+        return fn()
 
-    yield run
-    helper.shutdown()
+    return run
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import math
-import sys
 import weakref
 
 import numpy as np
@@ -476,13 +475,6 @@ class TestProjection:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
-    @pytest.mark.parametrize("shape, splits", [
-        ((21, 1024, 16), True), ((5, 128, 16), True), ((1, 100, 16), False),
-    ])
-    def test_one_cpu_equals_two(self, on_cpus, shape, splits):
-        values, g = head_values(shape)
-        split_equals_whole(on_cpus, lambda: head_results(ad.projection, values, g), splits)
-
     def test_gradients_form_once(self):
         values, g = head_values((2, 8, 3), hidden=4)
         node = ad.projection(*(ad.constant(v) for v in values))
@@ -532,99 +524,9 @@ class TestLayerSum:
             ad.layer_sum(a, b, ad.constant(np.zeros(2)))
 
 
-# --- per-sample work on two cores -------------------------------------------
-
-
-def split_equals_whole(on_cpus, fn, splits=True):
-    """fn() on two cores equals fn() on one, bit for bit, and splits when expected."""
-    whole, none = on_cpus(1, fn)
-    halved, count = on_cpus(2, fn)
-    assert none == 0 and (count > 0) == splits
-    for a, b in zip(whole, halved):
-        assert a.shape == b.shape and np.array_equal(a, b)
-
-
 def lowpass_mats(shape, synthesis=False):
     pairs = [wv.lowpass_pair("db6", n, 3) for n in shape]
     return [s if synthesis else a for a, s in pairs], tuple(a.shape[0] for a, _ in pairs)
-
-
-class TestTwoCoreKernels:
-    """halves() splits give the single call's bits."""
-
-    MIN = core.SPLIT_MIN
-
-    @pytest.mark.parametrize("shape, splits", [
-        ((1,), False), ((MIN - 1,), False), ((MIN + 1,), True), ((7, 1024, 16), True),
-        ((1, 1024, 128), True), ((3, 32 * 32, 16), False), ((21, 32 * 32, 16), True),
-    ])
-    def test_gelu_forward_backward_and_value_grad(self, on_cpus, shape, splits):
-        gen = np.random.default_rng(50)
-        x, g = gen.standard_normal(shape) * 3.0, gen.standard_normal(shape)
-
-        def run():
-            # vsn runs gelu's kernels on gate * x
-            node = ad.gelu(ad.constant(x))
-            out, _ = ad.vsn(ad.constant(x), ad.constant(np.zeros(shape[-1])))
-            return (node.value, node.grad_fns[0](g), out.value,
-                    *(fn(g) for fn in out.grad_fns))
-
-        split_equals_whole(on_cpus, run, splits)
-
-    @pytest.mark.parametrize("batch, n, c_in, c_out, splits", [
-        (1, 1024, 16, 128, False), (7, 1024, 16, 16, True), (21, 1024, 16, 128, True),
-        (5, 1024, 128, 1, True), (2, 2047, 16, 16, False), (2, 2048, 16, 16, True),
-        (21, 32 * 32, 16, 16, True),
-    ])
-    def test_affine_and_conv1x1(self, on_cpus, batch, n, c_in, c_out, splits):
-        gen = np.random.default_rng(51)
-        x = gen.standard_normal((batch, n, c_in))
-        w, b = gen.standard_normal((c_in, c_out)), gen.standard_normal(c_out)
-        g = gen.standard_normal((batch, n, c_out))
-
-        def run():
-            aff = ad.affine(ad.constant(x), ad.constant(w), ad.constant(b))
-            conv = ad.conv1x1(ad.constant(x), ad.constant(w))
-            return (aff.value, aff.grad_fns[0](g), conv.value, conv.grad_fns[0](g))
-
-        split_equals_whole(on_cpus, run, splits)
-
-    @pytest.mark.parametrize("batch, shape, splits", [
-        (1, (1024,), False), (5, (1024,), True), (20, (1024,), True),
-        (3, (32, 32), False), (21, (32, 32), True),
-    ])
-    def test_separable_analysis_and_synthesis(self, on_cpus, batch, shape, splits):
-        gen = np.random.default_rng(52)
-        grid = gen.standard_normal((batch, math.prod(shape), 16))
-        analysis, coarse = lowpass_mats(shape)
-        synthesis, _ = lowpass_mats(shape, synthesis=True)
-        coeffs = gen.standard_normal((batch, math.prod(coarse), 16))
-
-        def run():
-            return (ad._separable(grid, analysis, shape), ad._separable(coeffs, synthesis, coarse),
-                    ad._separable(grid, [m.T for m in synthesis], shape))
-
-        split_equals_whole(on_cpus, run, splits)
-
-
-    def test_frequent_switches_match_whole(self, on_cpus):
-        # the two halves write one output while the interpreter switches threads often
-        gen = np.random.default_rng(54)
-        x, w = gen.standard_normal((9, 1024, 16)), gen.standard_normal((16, 16))
-
-        def run():
-            return [ad.gelu(ad.affine(ad.constant(x), ad.constant(w), ad.constant(w[0]))).value
-                    for _ in range(20)]
-
-        whole, _ = on_cpus(1, run)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            halved, splits = on_cpus(2, run)
-        finally:
-            sys.setswitchinterval(interval)
-        assert splits == 40
-        assert all(np.array_equal(a, b) for a, b in zip(whole, halved))
 
 
 class TestBlasThreads:
@@ -644,12 +546,9 @@ class TestBlasThreads:
             out += [coarse_fields, ad._separable(coarse_fields, synthesis, coarse)]
         return out
 
-    def test_one_thread_equals_two(self, blas_at_two, monkeypatch):
-        monkeypatch.setattr(core, "_available_cpus", lambda: 1)
+    def test_one_thread_equals_two(self, blas_at_two):
         at_two = self.products()
-        for cpus in (1, 2):
-            monkeypatch.setattr(core, "_available_cpus", lambda cpus=cpus: cpus)
-            with core.one_blas_thread():
-                pinned = self.products()
-            for a, b in zip(at_two, pinned):
-                assert np.array_equal(a, b)
+        with core.one_blas_thread():
+            pinned = self.products()
+        for a, b in zip(at_two, pinned):
+            assert np.array_equal(a, b)

@@ -205,6 +205,27 @@ def test_quantile_pair_trains_pooled_as_serially(root, tmp_path, monkeypatch):
     assert outputs[1][0] == [(root / "q-wno" / name).read_bytes() for name in names]
 
 
+def test_spiking_report_runs_members_pooled_as_serially(root, tmp_path, monkeypatch):
+    # members report one per core; on one CPU they report serially, to the same bytes
+    if not core._blas_thread_controls():
+        pytest.skip("no OpenBLAS thread setter: the members would report serially")
+    on_main = []
+    activity = no.spiking_activity
+    monkeypatch.setattr(no, "spiking_activity", lambda *a: (
+        on_main.append(threading.current_thread() is threading.main_thread()),
+        activity(*a))[1])
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_available_cpus", lambda cpus=cpus: cpus)
+        on_main.clear()
+        out = tmp_path / f"spikes_{cpus}.csv"
+        assert opcert("spiking-report", "--ckpt", root / "rp-vswno", "--data", root / "data",
+                      "--out", out) == 0
+        outputs[cpus] = (out.read_bytes(), list(on_main))
+    assert outputs[1][1] == [True, True] and outputs[2][1] == [False, False]
+    assert outputs[1][0] == outputs[2][0]
+
+
 # --------------------------------------------------------------------------
 # failure paths and their exit codes
 # --------------------------------------------------------------------------
@@ -588,9 +609,8 @@ def fresh_python(tmp_path, probe):
 
 
 def test_import_starts_no_thread(tmp_path):
-    probe = ("import threading, opcert.cli, opcert.core as c; "
-             "print(threading.active_count(), c._helper)")
-    assert fresh_python(tmp_path, probe).split() == ["1", "None"]
+    probe = "import threading, opcert.cli; print(threading.active_count())"
+    assert fresh_python(tmp_path, probe).split() == ["1"]
 
 
 def test_model_commands_import_no_sparse_or_linalg(tmp_path):

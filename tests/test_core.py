@@ -179,80 +179,3 @@ class TestOneBlasThread:
         monkeypatch.setattr(core, "_blas_thread_controls", lambda: [])
         with core.one_blas_thread() as pinned:
             assert not pinned
-
-
-class TestHalves:
-    """One kernel split over the caller and one helper thread."""
-
-    @staticmethod
-    def recording(calls):
-        def kernel(s):
-            calls.append((s.start, s.stop, threading.get_ident()))
-
-        return kernel
-
-    def test_splits_on_the_main_thread(self, two_cpus):
-        calls = []
-        core.halves(self.recording(calls), 5, core.SPLIT_MIN)
-        assert sorted(c[:2] for c in calls) == [(0, 3), (3, 5)]
-        caller = [c for c in calls if c[2] == threading.get_ident()]
-        assert [c[:2] for c in caller] == [(0, 3)] and len({c[2] for c in calls}) == 2
-
-    @pytest.mark.parametrize("n, item_size", [(1, 10 * core.SPLIT_MIN), (2, core.SPLIT_MIN // 2 - 1),
-                                              (core.SPLIT_MIN - 1, 1)])
-    def test_whole_when_small(self, two_cpus, n, item_size):
-        calls = []
-        core.halves(self.recording(calls), n, item_size)
-        assert calls == [(0, n, threading.get_ident())]
-
-    def test_split_at_the_threshold(self, two_cpus):
-        calls = []
-        core.halves(self.recording(calls), core.SPLIT_MIN)
-        assert len(calls) == 2
-
-    def test_whole_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(core, "_available_cpus", lambda: 1)
-        calls = []
-        core.halves(self.recording(calls), 8, core.SPLIT_MIN)
-        assert calls == [(0, 8, threading.get_ident())]
-
-    def test_whole_on_a_member_map_thread(self, two_cpus):
-        if not core._blas_thread_controls():
-            pytest.skip("no OpenBLAS thread setter in this process")
-
-        def member(_):
-            calls = []
-            core.halves(self.recording(calls), 8, core.SPLIT_MIN)
-            return calls, threading.get_ident()
-
-        for calls, ident in core.member_map(member, range(2)):
-            assert ident != threading.get_ident()
-            assert calls == [(0, 8, ident)]
-
-    def test_helper_error_reaches_the_caller(self, two_cpus):
-        def kernel(s):
-            if s.start > 0:
-                raise ValueError(f"helper half {s.start}:{s.stop}")
-
-        with pytest.raises(ValueError, match="helper half 2:4"):
-            core.halves(kernel, 4, core.SPLIT_MIN)
-        out = np.zeros(4)
-
-        def fill(s):
-            out[s] = np.arange(4)[s]
-
-        core.halves(fill, 4, core.SPLIT_MIN)
-        assert np.array_equal(out, np.arange(4))
-
-    def test_caller_error_waits_for_the_helper(self, two_cpus):
-        done = []
-
-        def kernel(s):
-            if s.start == 0:
-                raise ValueError("caller half")
-            time.sleep(0.05)
-            done.append(s.start)
-
-        with pytest.raises(ValueError, match="caller half"):
-            core.halves(kernel, 4, core.SPLIT_MIN)
-        assert done == [2]

@@ -53,11 +53,12 @@ gradients, bias sums and losses reduce in one fixed order, and
 `projection` sums one partial per block, in block order.
 
 The spiking activation has two modes. In hard mode the forward emits exact
-threshold spikes and the backward substitutes a logistic surrogate for the
-threshold derivative (the values seen by the backward are the hard ones).
-In smooth mode the logistic gate itself is used in the forward, making the
-whole network differentiable; finite differences of the smooth forward
-match the analytic gradients, which is how spiking models are checked.
+threshold spikes and the backward substitutes a logistic surrogate of
+slope `SURROGATE_SLOPE` (10) for the threshold derivative (the values
+seen by the backward are the hard ones). In smooth mode the logistic gate
+itself is used in the forward, making the whole network differentiable;
+finite differences of the smooth forward match the analytic gradients,
+which is how spiking models are checked.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .core import ShapeError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+SURROGATE_SLOPE = 10.0  # steepness of vsn's logistic surrogate gate
 
 
 class GraphError(ValueError):
@@ -464,21 +466,22 @@ def wavelet_scale(a: Node, r: Node) -> Node:
 # --- spiking activation -----------------------------------------------------
 
 
-def vsn(x: Node, threshold: Node, slope: float = 10.0, smooth: bool = False):
+def vsn(x: Node, threshold: Node, smooth: bool = False):
     """Threshold-gated activation on (..., C) fields, single time step.
 
     Membrane starts at zero each call, so one step gives membrane = x; the
     gate fires where membrane >= threshold and the output is gelu(gate * x)
-    (zero input stays zero). Returns (output, gate) nodes; the gate node
-    carries the spike field for activity penalties and reporting.
+    (zero input stays zero). The surrogate gate is the logistic
+    expit(SURROGATE_SLOPE * (x - threshold)). Returns (output, gate) nodes;
+    the gate node carries the spike field for activity penalties and reporting.
     """
     xv = x.value
     th = threshold.value
     if th.ndim != 1 or th.shape[0] != xv.shape[-1]:
         raise ShapeError(f"vsn: x {xv.shape}, threshold {th.shape} incompatible")
     membrane = xv
-    sig = expit(slope * (membrane - th))
-    surr = slope * sig * (1.0 - sig)
+    sig = expit(SURROGATE_SLOPE * (membrane - th))
+    surr = SURROGATE_SLOPE * sig * (1.0 - sig)
     gate = sig if smooth else (membrane >= th).astype(np.float64)
     cdf, act = _gelu_cdf_value(gate * xv)
     lead = tuple(range(xv.ndim - 1))

@@ -208,10 +208,7 @@ def cmd_train(args) -> int:
         for tag, (model, _) in zip(("lo", "hi"), pair):
             no.save_model(model, out / f"{tag}.ckpt")
         traces = [trace for _, trace in pair]
-        sio.write_manifest(
-            out / "manifest.txt",
-            {"kind": "qwno", "eta_lo": repr(run.alpha / 2.0), "eta_hi": repr(1.0 - run.alpha / 2.0)},
-        )
+        sio.write_manifest(out / "manifest.txt", {"kind": "qwno"})
     else:
         loss = no.LossConfig("l2")
         if run.model == "rp-vswno" and run.slf_beta > 0:

@@ -40,14 +40,12 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on a rectangular domain, endpoints included.
+    """Uniform grid on the unit box, endpoints included.
 
     resolution: number of points per dimension (>= 2 for coordinate use).
-    extent: (low, high) physical bounds per dimension, default unit box.
     """
 
     resolution: tuple[int, ...]
-    extent: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         res = tuple(int(r) for r in self.resolution)
@@ -56,13 +54,6 @@ class GridSpec:
         if any(r < 1 for r in res):
             raise GridError(f"resolutions must be positive, got {res}")
         object.__setattr__(self, "resolution", res)
-        ext = self.extent or tuple((0.0, 1.0) for _ in res)
-        ext = tuple((float(a), float(b)) for a, b in ext)
-        if len(ext) != len(res):
-            raise GridError("extent must give one (low, high) pair per dim")
-        if any(b <= a for a, b in ext):
-            raise GridError(f"degenerate extent {ext}")
-        object.__setattr__(self, "extent", ext)
 
     @property
     def dims(self) -> int:

@@ -338,29 +338,23 @@ def write_dataset(path, kind: str, grid: GridSpec, inputs: np.ndarray, outputs: 
         sio.start_file(fh, sio.DATASET_MAGIC)
         sio.write_u32(fh, DATASET_KINDS[kind])
         sio.write_grid(fh, grid)
-        sio.write_u32(fh, len(inputs))
-        for u, y in zip(inputs, outputs):
-            sio.write_array(fh, u)
-            sio.write_array(fh, y)
+        sio.write_array(fh, inputs)
+        sio.write_array(fh, outputs)
 
 
 def read_dataset(path):
+    """(kind, grid, inputs, outputs) of a dataset file; each array is (n, *grid), n >= 1."""
     with sio.reading(path) as fh:
         sio.check_magic(fh, sio.DATASET_MAGIC)
         kind = sio.lookup_id(_KIND_NAMES, sio.read_u32(fh), "dataset kind")
         grid = sio.read_grid(fh)
-        count = sio.read_u32(fh)
-        if count < 1:
-            raise sio.FormatError("dataset holds no samples")
-        inputs, outputs = [], []
-        for i in range(count):
-            for name, arrays in (("input", inputs), ("output", outputs)):
-                arrays.append(sio.read_array(fh))
-                if arrays[-1].shape != grid.shape:
-                    raise sio.FormatError(
-                        f"sample {i} {name} has shape {arrays[-1].shape}, the grid {grid.shape}"
-                    )
-    return kind, grid, np.stack(inputs), np.stack(outputs)
+        inputs, outputs = sio.read_array(fh), sio.read_array(fh)
+        for name, arr in (("inputs", inputs), ("outputs", outputs)):
+            if arr.shape[1:] != grid.shape:
+                raise sio.FormatError(f"{name} have shape {arr.shape}, the grid {grid.shape}")
+        if len(inputs) != len(outputs) or len(inputs) < 1:
+            raise sio.FormatError(f"dataset holds {len(inputs)} inputs and {len(outputs)} outputs")
+    return kind, grid, inputs, outputs
 
 
 def make_dataset(

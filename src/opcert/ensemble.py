@@ -44,7 +44,6 @@ class RpMember:
     trainable: no.WnoModel
     prior: no.WnoModel
     prior_weight: float
-    seed_stream: int
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         out = self.trainable.predict(inputs)
@@ -67,7 +66,6 @@ class RpMember:
 @dataclass
 class RpEnsemble:
     members: list
-    config: no.WnoConfig
     prior_weight: float
 
     @property
@@ -84,7 +82,7 @@ def build_member(config: no.WnoConfig, prior_weight: float, rng: SeededRng, k: i
     base = rng.substream(_MEMBER_BLOCK * k)
     trainable = no.WnoModel.initialize(config, base.substream(_INIT_OFF))
     prior = no.WnoModel.initialize(prior_config(config), base.substream(_PRIOR_OFF))
-    return RpMember(trainable, prior, prior_weight, base.stream)
+    return RpMember(trainable, prior, prior_weight)
 
 
 def rp_train(
@@ -136,7 +134,7 @@ def rp_train(
             raise EnsembleTrainingError(f"member {k} diverged: {exc}") from exc
 
     traces = member_map(train_member, range(n_c))
-    return RpEnsemble(members, config, prior_weight), traces
+    return RpEnsemble(members, prior_weight), traces
 
 
 def rp_predict(ensemble: RpEnsemble, inputs: np.ndarray):
@@ -172,7 +170,6 @@ def save_ensemble(ensemble: RpEnsemble, directory):
             "kind": "rp",
             "n_c": ensemble.size,
             "prior_weight": repr(ensemble.prior_weight),
-            "seed_streams": ",".join(str(m.seed_stream) for m in ensemble.members),
         },
     )
 
@@ -191,15 +188,14 @@ def load_ensemble(directory) -> RpEnsemble:
             raise sio.FormatError(f"missing or bad {key!r} in {path}") from exc
 
     n_c = entry("n_c", int)
+    if n_c < 1:
+        raise sio.FormatError(f"'n_c' must be >= 1, got {n_c} in {path}")
     weight = entry("prior_weight", float)
     if not math.isfinite(weight):
         raise sio.FormatError(f"non-finite 'prior_weight' {weight} in {path}")
-    streams = entry("seed_streams", lambda raw: [int(s) for s in raw.split(",")])
-    if len(streams) != n_c:  # also catches n_c < 1: split() yields one or more
-        raise sio.FormatError(f"{path} lists {len(streams)} 'seed_streams' for 'n_c' = {n_c}")
-    members = []
-    for i in range(n_c):
-        trainable = no.load_model(directory / f"member_{i:03d}.ckpt")
-        prior = no.load_model(directory / f"member_{i:03d}_prior.ckpt")
-        members.append(RpMember(trainable, prior, weight, streams[i]))
-    return RpEnsemble(members, members[0].trainable.config, weight)
+    members = [
+        RpMember(no.load_model(directory / f"member_{i:03d}.ckpt"),
+                 no.load_model(directory / f"member_{i:03d}_prior.ckpt"), weight)
+        for i in range(n_c)
+    ]
+    return RpEnsemble(members, weight)

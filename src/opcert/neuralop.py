@@ -27,7 +27,7 @@ trained shape; this is what makes zero-shot resolution transfer work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,7 @@ class WnoConfig:
     wavelet: str = "db6"
     activation: str = "gelu"
     proj_hidden: int = 128
-    in_channels: int = 0  # 0 -> function value + one coordinate channel per dim
     normalize: bool = False
-    surrogate_slope: float = 10.0
 
     def __post_init__(self):
         for key in ("width", "layers", "levels", "proj_hidden"):
@@ -74,10 +72,6 @@ class WnoConfig:
             raise ValueError(f"'activation' must be one of {ACTIVATIONS}")
         if self.wavelet not in wv.LOWPASS_TAPS:
             raise ValueError(f"unsupported 'wavelet' {self.wavelet!r}")
-        if not self.surrogate_slope > 0:  # NaN fails too
-            raise ValueError(f"'surrogate_slope' must be positive, got {self.surrogate_slope}")
-        if self.in_channels == 0:
-            object.__setattr__(self, "in_channels", 1 + self.grid.dims)
 
 
 @dataclass
@@ -176,8 +170,7 @@ class WnoModel:
         levels = self._effective_levels(spatial)
         batch = x.shape[0]
         n_pts = int(np.prod(spatial))
-        grid_now = GridSpec(spatial, self.config.grid.extent)
-        coords = normalized_coordinates(grid_now)
+        coords = normalized_coordinates(GridSpec(spatial))
         if self.norm is not None:
             x = (x - self.norm.in_mean) / self.norm.in_std
         feats = np.concatenate(
@@ -197,7 +190,7 @@ class WnoModel:
             elif cfg.activation == "identity":
                 v = z
             else:
-                v, gate = ad.vsn(z, self.params[f"layer{i}.th"], slope=cfg.surrogate_slope)
+                v, gate = ad.vsn(z, self.params[f"layer{i}.th"])
                 gates.append(gate)
         head = [self.params[name] for name in ("proj1.w", "proj1.b", "proj2.w", "proj2.b")]
         if cfg.activation != "identity":
@@ -258,7 +251,8 @@ def _parameter_layout(config: WnoConfig) -> dict:
     def full(value, *shape):
         return shape, lambda gen: np.full(shape, value)
 
-    layout = {"uplift.w": glorot(config.in_channels, width), "uplift.b": full(0.0, width)}
+    # the function value plus one coordinate channel per dimension
+    layout = {"uplift.w": glorot(1 + config.grid.dims, width), "uplift.b": full(0.0, width)}
     r_scale = 1.0 / (width * width)
     for i in range(config.layers):
         layout[f"layer{i}.r"] = ((width, width),
@@ -382,9 +376,7 @@ def save_model(model: WnoModel, path):
             _WAVELET_IDS[cfg.wavelet],
             _ACTIVATION_IDS[cfg.activation],
             cfg.proj_hidden,
-            cfg.in_channels,
         )
-        sio.write_f64(fh, cfg.surrogate_slope)
         sio.write_grid(fh, cfg.grid)
         norm = model.norm
         sio.write_u32(fh, 0 if norm is None else 1)
@@ -402,8 +394,7 @@ def load_model(path) -> WnoModel:
     raises FormatError naming it and the file."""
     with sio.reading(path) as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
-        width, layers, levels, wid, aid, proj_hidden, in_ch = sio.read_u32(fh, 7)
-        slope = sio.read_f64(fh)
+        width, layers, levels, wid, aid, proj_hidden = sio.read_u32(fh, 6)
         grid = sio.read_grid(fh)
         norm = NormStats(*sio.read_f64(fh, 4)) if sio.read_u32(fh) else None
         wavelet = sio.lookup_id(_WAVELET_NAMES, wid, "wavelet")
@@ -417,9 +408,7 @@ def load_model(path) -> WnoModel:
                 wavelet=wavelet,
                 activation=activation,
                 proj_hidden=proj_hidden,
-                in_channels=in_ch,
                 normalize=norm is not None,
-                surrogate_slope=slope,
             )
         except ValueError as exc:  # a stored value the config rejects
             raise sio.FormatError(f"bad stored config: {exc}") from exc

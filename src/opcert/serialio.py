@@ -21,11 +21,19 @@ import numpy as np
 
 from .core import GridError, GridSpec
 
+# Since OPCERT03, OPDATA02 and OPQFLD03 the grid header holds only the dims
+# and the resolutions: every grid is the unit box, and the (low, high) pair
+# of floats per axis that earlier headers stored had no reader.
 # OPCERT02: the model header dropped the spike-train length of OPCERT01
-CHECKPOINT_MAGIC = b"OPCERT02"
-DATASET_MAGIC = b"OPDATA01"
+# OPCERT03: the model header dropped the input channel count (always
+# 1 + dims) and the surrogate slope (now `autodiff.SURROGATE_SLOPE`)
+CHECKPOINT_MAGIC = b"OPCERT03"
+# OPDATA02: inputs and outputs are two stacked (n, *grid) arrays, not a
+# sample count followed by one (input, output) pair of arrays per sample
+DATASET_MAGIC = b"OPDATA02"
 # OPQFLD02: the q-field header dropped the band multiplier z of OPQFLD01
-QFIELD_MAGIC = b"OPQFLD02"
+# OPQFLD03: the grid header change above
+QFIELD_MAGIC = b"OPQFLD03"
 VERSION = 1
 
 
@@ -133,17 +141,13 @@ def read_named_array(fh):
 
 def write_grid(fh, grid: GridSpec):
     write_u32(fh, grid.dims, *grid.resolution)
-    for lo, hi in grid.extent:
-        write_f64(fh, lo, hi)
 
 
 def read_grid(fh) -> GridSpec:
     dims = read_u32(fh)
     res = read_u32(fh, dims)
-    res = (res,) if dims == 1 else tuple(res)
-    extent = tuple((read_f64(fh), read_f64(fh)) for _ in range(dims))
     try:
-        return GridSpec(res, extent)
+        return GridSpec((res,) if dims == 1 else res)
     except GridError as exc:
         raise FormatError(f"bad grid header: {exc}") from exc
 

@@ -283,7 +283,7 @@ class TestVsnOp:
         th = ad.Parameter(gen.uniform(-0.5, 0.5, 5), "th")
 
         def closure():
-            out, gate = ad.vsn(x, th, slope=10.0, smooth=True)
+            out, gate = ad.vsn(x, th, smooth=True)
             return ad.add(ad.mean_all(out), ad.scale(ad.mean_all(gate), 0.3))
 
         errors = grad_check(closure, [x, th], eps=1e-5, samples=20)
@@ -292,7 +292,7 @@ class TestVsnOp:
     def test_surrogate_derivative_values(self):
         # the gate's gradient is the logistic surrogate k s (1 - s), s = expit(k(m - th))
         m = np.array([[1.0, 10.0, 0.1]])
-        _, gate = ad.vsn(ad.constant(m), ad.constant(np.array([1.0, 0.0, 0.0])), slope=10.0)
+        _, gate = ad.vsn(ad.constant(m), ad.constant(np.array([1.0, 0.0, 0.0])))
         surr = gate.grad_fns[0](np.ones_like(m))[0]
         # logistic derivative peak k/4 at the threshold
         assert abs(surr[0] - 2.5) < 1e-12
@@ -382,12 +382,12 @@ class TestInPlaceKernels:
         xv = gen.standard_normal((4, 1025, 3)) * 2.0
         th = gen.uniform(-0.5, 1.0, 3)
         g = gen.standard_normal(xv.shape)
-        slope = 10.0
+        slope = 10.0  # ad.SURROGATE_SLOPE
         sig = expit(slope * (xv - th))
         surr = slope * sig * (1.0 - sig)
         gate = sig if smooth else (xv >= th).astype(np.float64)
         act, dact = one_shot_gelu(gate * xv)
-        out, gate_node = ad.vsn(ad.constant(xv), ad.constant(th), slope, smooth)
+        out, gate_node = ad.vsn(ad.constant(xv), ad.constant(th), smooth=smooth)
         assert np.array_equal(out.value, act)
         assert np.array_equal(gate_node.value, gate)
         dx, dth = (fn(g) for fn in out.grad_fns)

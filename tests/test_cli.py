@@ -275,11 +275,13 @@ def test_spiking_report_on_continuous_model_exits_7(root, tmp_path):
 
 
 def test_old_checkpoint_format_exits_3(root, tmp_path, capsys):
-    # an OPCERT01 header, then a stored name length that reads past the
-    # name (into float bytes that are not UTF-8) or past the end of the file
+    # the magic of each earlier layout (OPCERT02 stored the input channel
+    # count, the surrogate slope and a per-axis grid extent), then a stored
+    # name length that reads past the name (into float bytes that are not
+    # UTF-8) or past the end of the file
     original = (root / "rp-wno" / "member_000.ckpt").read_bytes()
     field = original.index(struct.pack("<I", 8) + b"layer0.b")
-    corrupt = [b"OPCERT01" + original[8:]]
+    corrupt = [magic + original[8:] for magic in (b"OPCERT01", b"OPCERT02")]
     corrupt += [original[:field] + struct.pack("<I", n) + original[field + 4:]
                 for n in (5000, len(original))]
     for case, data in enumerate(corrupt):
@@ -368,37 +370,51 @@ def test_qfield_alpha_off_the_unit_interval_exits_3(root, tmp_path, capsys, alph
     assert not (tmp_path / "coverage.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["kind", "empty", "grid", "mixed", "dims"])
+# the (inputs, outputs) shapes on a 16-point grid, and what the error says
+DATASET_CASES = {
+    "grid": ((2, 8), (2, 8), "inputs have shape (2, 8), the grid (16,)"),
+    "empty": ((0, 16), (0, 16), "dataset holds 0 inputs and 0 outputs"),
+    "unequal": ((2, 16), (3, 16), "dataset holds 2 inputs and 3 outputs"),
+    "dims": ((2, 16), (2, 16), "grid must be 1D or 2D, got 0 dims"),
+}
+
+
+@pytest.mark.parametrize("case", ["kind", *DATASET_CASES])
 def test_bad_dataset_contents_exit_3(root, tmp_path, capsys, case):
     data = tmp_path / "data"
     shutil.copytree(root / "data", data)
     path = data / "calibration.opdata"
-    # sample shapes on a 16-point grid: none, all off the grid, or one off it;
-    # or a grid header of 0 dims
-    shapes = {"empty": [], "grid": [(8,), (8,)], "mixed": [(16,), (8,)], "dims": []}.get(case)
     if case == "kind":  # the kind id follows the magic and the version
         raw = path.read_bytes()
         path.write_bytes(raw[:12] + struct.pack("<I", 99) + raw[16:])
+        message = "unknown dataset kind id 99"
     else:
-        with sio.replacing(path) as fh:
+        inputs, outputs, message = DATASET_CASES[case]
+        with sio.replacing(path) as fh:  # the layout of dg.write_dataset, unchecked
             sio.start_file(fh, sio.DATASET_MAGIC)
             sio.write_u32(fh, dg.DATASET_KINDS["burgers"])
             if case == "dims":
                 sio.write_u32(fh, 0)
             else:
                 sio.write_grid(fh, GridSpec((16,)))
-            sio.write_u32(fh, len(shapes))
-            for shape in shapes:
-                sio.write_array(fh, np.zeros(shape))
-                sio.write_array(fh, np.zeros(shape))
+            sio.write_array(fh, np.zeros(inputs))
+            sio.write_array(fh, np.zeros(outputs))
     assert opcert("calibrate", "--ckpt", root / "rp-wno", "--data", data,
                   "--out", tmp_path / "q.qfield") == 3
     err = capsys.readouterr().err
-    assert str(path) in err
-    if shapes:
-        assert f"sample {1 if case == 'mixed' else 0} input has shape (8,)" in err
-    if case == "dims":
-        assert "grid must be 1D or 2D, got 0 dims" in err
+    assert str(path) in err and message in err
+    assert not (tmp_path / "q.qfield").exists()
+
+
+def test_old_dataset_format_exits_3(root, tmp_path, capsys):
+    # OPDATA01 stored a sample count and one array pair per sample
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    path = data / "calibration.opdata"
+    path.write_bytes(b"OPDATA01" + path.read_bytes()[8:])
+    assert opcert("calibrate", "--ckpt", root / "rp-wno", "--data", data,
+                  "--out", tmp_path / "q.qfield") == 3
+    assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "q.qfield").exists()
 
 
@@ -408,7 +424,6 @@ def test_qfield_grid_of_three_dims_exits_3(root, tmp_path, capsys):
     with sio.replacing(path) as fh:  # the layout of cf.save_qfield, with a 3D grid header
         sio.start_file(fh, sio.QFIELD_MAGIC)
         sio.write_u32(fh, 3, 16, 1, 1)
-        sio.write_f64(fh, *[0.0, 1.0] * 3)
         sio.write_f64(fh, qf.alpha)
         sio.write_array(fh, qf.values)
     assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", path,
@@ -437,9 +452,8 @@ def test_nan_qfield_exits_3(root, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n_c", None), ("prior_weight", None), ("seed_streams", None),
-    ("n_c", "two"), ("prior_weight", "heavy"), ("seed_streams", "1,x"),
-    ("seed_streams", "7"),  # one stream for two members
+    ("n_c", None), ("prior_weight", None),
+    ("n_c", "two"), ("prior_weight", "heavy"),
     ("n_c", "0"),
     ("prior_weight", "nan"),  # used to calibrate into an all-NaN q and exit 2
 ])
@@ -458,13 +472,16 @@ def test_bad_ensemble_manifest_exits_3(root, tmp_path, capsys, key, value):
     assert repr(key) in err and str(ckpt / "manifest.txt") in err
 
 
-def test_old_qfield_format_exits_3(root, tmp_path):
-    # OPQFLD01 files carried a band multiplier z that the format dropped
+def test_old_qfield_format_exits_3(root, tmp_path, capsys):
+    # OPQFLD01 files carried a band multiplier z that the format dropped,
+    # and OPQFLD02 files a per-axis grid extent
     old = tmp_path / "q.qfield"
-    old.write_bytes(b"OPQFLD01" + (root / "rp-wno" / "q.qfield").read_bytes()[8:])
-    assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", old,
-                  "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
-    assert not (tmp_path / "coverage.csv").exists()
+    for magic in (b"OPQFLD01", b"OPQFLD02"):
+        old.write_bytes(magic + (root / "rp-wno" / "q.qfield").read_bytes()[8:])
+        assert opcert("evaluate", "--ckpt", root / "rp-wno", "--qfield", old,
+                      "--data", root / "data", "--out", tmp_path / "coverage.csv") == 3
+        assert str(old) in capsys.readouterr().err
+        assert not (tmp_path / "coverage.csv").exists()
 
 
 def test_superres_with_infinite_q_exits_6(root, tmp_path, capsys):

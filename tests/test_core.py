@@ -22,19 +22,17 @@ def gaussian_draws(rng, n):
 
 class TestGridSpec:
     def test_defaults_unit_extent(self):
-        g = GridSpec((16,))
-        assert g.dims == 1
-        assert g.extent == ((0.0, 1.0),)
+        # every grid spans the unit box, endpoints included
+        g = GridSpec((16, 5))
+        assert g.dims == 2 and g.shape == (16, 5)
+        coords = normalized_coordinates(g)
+        assert np.array_equal(coords[0], [0.0, 0.0]) and np.array_equal(coords[-1], [1.0, 1.0])
 
     def test_rejects_bad_dims(self):
         with pytest.raises(GridError):
             GridSpec((4, 4, 4))
         with pytest.raises(GridError):
             GridSpec((0,))
-
-    def test_rejects_degenerate_extent(self):
-        with pytest.raises(GridError):
-            GridSpec((4,), ((1.0, 1.0),))
 
 
 class TestNormalizedCoordinates:

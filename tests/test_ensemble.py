@@ -37,7 +37,7 @@ class FakeMember:
 
 
 def fake_ensemble(values):
-    return ens.RpEnsemble([FakeMember(v) for v in values], None, 1.0)
+    return ens.RpEnsemble([FakeMember(v) for v in values], 1.0)
 
 
 class TestPredictStatistics:
@@ -245,7 +245,7 @@ class TestMemberPool:
         # six threads with frequent switches, filling the wavelet cache concurrently
         cfg = tiny_config(grid=GridSpec((64,)))
         ensemble = ens.RpEnsemble(
-            [ens.build_member(cfg, 1.0, SeededRng(17), k) for k in range(6)], cfg, 1.0
+            [ens.build_member(cfg, 1.0, SeededRng(17), k) for k in range(6)], 1.0
         )
         x = SeededRng(18).generator().standard_normal((5, 64))
         monkeypatch.setattr(core, "_available_cpus", lambda: 1)

@@ -188,8 +188,6 @@ class TestVsnForward:
         surr = gate.grad_fns[0](np.ones((1, 2)))[0]
         assert surr[0] == pytest.approx(2.5)
         assert surr[1] == pytest.approx(1.9661, abs=1e-3)
-        with pytest.raises(ValueError):
-            small_config(activation="vsn", surrogate_slope=-1.0)
 
 
 class TestSpikingActivity:

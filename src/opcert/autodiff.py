@@ -1,27 +1,31 @@
 """Minimal reverse-mode differentiation over the operator's op set.
 
 A computation is a DAG of Node objects built eagerly; each op records its
-inputs and a per-parent gradient closure. backward() traverses the graph
-once in reverse topological order and accumulates into Parameter.grad.
-Values are float64 ndarrays with an explicit batch-first layout where the
-ops say so; there is no implicit broadcasting between two nodes.
+inputs and a per-parent gradient closure. backward(outputs, cotangents)
+seeds each output node with a cotangent of its shape, traverses the graph
+once in reverse topological order and accumulates the vector-Jacobian
+product into Parameter.grad. A loss needs no node of its own: the caller
+forms its gradient with respect to the outputs in closed form and passes
+that as the cotangents (`neuralop._loss`). Values are float64 ndarrays
+with an explicit batch-first layout where the ops say so; there is no
+implicit broadcasting between two nodes.
 
 backward() uses the graph up as it goes: a node drops its parents and
 closures, then runs the closures last parent first and frees each once it
 has run. What a closure kept is thus freed during the backward, even while
-the caller still holds the loss or the output node; in `affine`, the
-weight gradient frees the input it read before the input gradient
-allocates an array of that size. A later backward that reaches a used
-node raises GraphError, since its gradients would stop there.
+the caller still holds the output nodes; in `affine`, the weight gradient
+frees the input it read before the input gradient allocates an array of
+that size. A later backward that reaches a used node raises GraphError,
+since its gradients would stop there.
 
 A node's own value stays until release() drops it. Forward code releases
 a node once its last consumer is built, so that a step holds only the
 arrays some closure reads, each for as long as that closure lives.
 Reading a released value raises GraphError; every other value stays
-readable after the backward (in the operator: the output, the loss and
-the spike gates). gelu's, projection's and vsn's closures write their
-gradients over the cdf they keep, so each runs once, and a second call
-raises GraphError.
+readable after the backward (in the operator: the output and the spike
+gates). gelu's, projection's and vsn's closures write their gradients
+over the cdf they keep, so each runs once, and a second call raises
+GraphError.
 
 The wavelet ops act on the coarsest approximation only and apply the
 matrices they are given, the (analysis, synthesis) pair of
@@ -49,8 +53,8 @@ backward, over the cdf it keeps.
 
 Every op runs its kernels once over its whole arrays, on the calling
 thread; `core.member_map` runs whole models one per core. The weight
-gradients, bias sums and losses reduce in one fixed order, and
-`projection` sums one partial per block, in block order.
+gradients and bias sums reduce in one fixed order, and `projection` sums
+one partial per block, in block order.
 
 The spiking activation has two modes. In hard mode the forward emits exact
 threshold spikes and the backward substitutes a logistic surrogate of
@@ -137,22 +141,6 @@ def _check_same(a: Node, b: Node, op: str):
 def add(a: Node, b: Node) -> Node:
     _check_same(a, b, "add")
     return Node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a: Node, b: Node) -> Node:
-    _check_same(a, b, "sub")
-    return Node(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
-
-
-def mul(a: Node, b: Node) -> Node:
-    _check_same(a, b, "mul")
-    av, bv = a.value, b.value
-    return Node(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
-
-
-def scale(a: Node, c: float) -> Node:
-    c = float(c)
-    return Node(a.value * c, (a,), (lambda g: g * c,))
 
 
 def _matmul(a: np.ndarray, m: np.ndarray, bias=None) -> np.ndarray:
@@ -356,45 +344,6 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
                 tuple(grad(k) for k in range(5)))
 
 
-def sum_all(x: Node) -> Node:
-    shape = x.value.shape
-    return Node(np.sum(x.value), (x,), (lambda g: np.full(shape, float(g)),))
-
-
-def mean_all(x: Node) -> Node:
-    shape = x.value.shape
-    n = x.value.size
-    return Node(np.mean(x.value), (x,), (lambda g: np.full(shape, float(g) / n),))
-
-
-def sum_per_sample(x: Node) -> Node:
-    """Reduce (B, ...) to per-sample sums (B,)."""
-    shape = x.value.shape
-    if x.value.ndim < 2:
-        raise GraphError("sum_per_sample needs a batch axis")
-    axes = tuple(range(1, x.value.ndim))
-    expand = (slice(None),) + (None,) * (x.value.ndim - 1)
-    return Node(
-        x.value.sum(axis=axes),
-        (x,),
-        (lambda g: np.broadcast_to(g[expand], shape).copy(),),
-    )
-
-
-def sqrt_vec(x: Node, floor: float = 1e-150) -> Node:
-    """Elementwise square root with a gradient floor at zero."""
-    r = np.sqrt(np.maximum(x.value, 0.0))
-    return Node(r, (x,), (lambda g: g / (2.0 * np.maximum(r, floor)),))
-
-
-def dot_const(x: Node, weights: np.ndarray) -> Node:
-    """Scalar inner product with a constant weight vector."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != x.value.shape:
-        raise ShapeError(f"dot_const: {x.value.shape} vs {w.shape}")
-    return Node(np.dot(x.value, w), (x,), (lambda g: float(g) * w,))
-
-
 # --- wavelet-domain ops ----------------------------------------------------
 
 
@@ -518,8 +467,8 @@ def vsn(x: Node, threshold: Node, smooth: bool = False):
 # --- traversal ---------------------------------------------------------------
 
 
-def _topological(loss: Node):
-    order, seen, stack = [], set(), [(loss, False)]
+def _topological(outputs):
+    order, seen, stack = [], set(), [(node, False) for node in outputs]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -537,8 +486,13 @@ def _topological(loss: Node):
     return order  # parents before children
 
 
-def backward(loss: Node):
-    """Accumulate d(loss)/d(param) into every reachable Parameter.grad.
+def backward(outputs, cotangents):
+    """Accumulate the cotangents pulled back to every reachable Parameter.grad.
+
+    outputs are nodes and cotangents one array per output, of its shape;
+    each Parameter.grad gains sum_k <cotangents[k], d outputs[k] / d param>.
+    A loss L of the outputs is thus differentiated by passing dL/d output
+    as each cotangent. A cotangent of the wrong shape raises GraphError.
 
     Uses up the graph: every node it passes drops its parents and
     gradient closures, runs the closures last parent first and frees each
@@ -546,10 +500,17 @@ def backward(loss: Node):
     backward through any of them raises GraphError. Leaves (parameters,
     constants) stay reusable.
     """
-    if loss.value.shape not in ((), (1,)):
-        raise GraphError(f"loss must be scalar, got shape {loss.value.shape}")
-    order = _topological(loss)
-    grads = {id(loss): np.ones_like(loss.value)}
+    outputs, cotangents = list(outputs), list(cotangents)
+    if len(outputs) != len(cotangents):
+        raise GraphError(f"{len(outputs)} outputs but {len(cotangents)} cotangents")
+    grads = {}
+    for node, g in zip(outputs, cotangents):
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != node.value.shape:
+            raise GraphError(f"cotangent shape {g.shape} is not its output's {node.value.shape}")
+        key = id(node)
+        grads[key] = grads[key] + g if key in grads else g
+    order = _topological(outputs)
     while order:
         node = order.pop()
         g = grads.pop(id(node))

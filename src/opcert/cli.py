@@ -337,8 +337,8 @@ def cmd_superres(args) -> int:
         f"(GP mean {gp_model.mean:.4g}, noise variance {gp_model.noise:.4g}, "
         f"kernel variance {k.variance:.4g}, length {k.length_scale:.4g}, shape {k.shape:.4g}; "
         f"{len(gp_model.nll_trace) - 1} iterations); "
-        f"calibrated avg {cal_rep.average:.2f} "
-        f"vs uncalibrated {unc_rep.average:.2f}; nmse {nmse:.3f}%"
+        f"calibrated avg {cal_rep.summary()['average']:.2f} "
+        f"vs uncalibrated {unc_rep.summary()['average']:.2f}; nmse {nmse:.3f}%"
     )
     return 0
 

@@ -67,34 +67,16 @@ class CoverageReport:
     def __post_init__(self):
         self.per_location = np.asarray(self.per_location, dtype=np.float64)
 
-    @property
-    def average(self) -> float:
-        return float(np.mean(self.per_location))
-
-    @property
-    def minimum(self) -> float:
-        return float(np.min(self.per_location))
-
-    @property
-    def maximum(self) -> float:
-        return float(np.max(self.per_location))
-
-    @property
-    def below_target(self) -> int:
-        return int(np.count_nonzero(self.per_location < self.target_percent))
-
-    @property
-    def at_or_above_target(self) -> int:
-        return int(self.per_location.size - self.below_target)
-
     def summary(self) -> dict:
+        per, target = self.per_location, self.target_percent
+        below = int(np.count_nonzero(per < target))
         return {
-            "average": self.average,
-            "min": self.minimum,
-            "max": self.maximum,
-            "below_target": self.below_target,
-            "at_or_above_target": self.at_or_above_target,
-            "target_percent": self.target_percent,
+            "average": float(np.mean(per)),
+            "min": float(np.min(per)),
+            "max": float(np.max(per)),
+            "below_target": below,
+            "at_or_above_target": int(per.size - below),
+            "target_percent": target,
         }
 
 

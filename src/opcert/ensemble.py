@@ -41,26 +41,28 @@ class EnsembleTrainingError(RuntimeError):
 
 @dataclass
 class RpMember:
+    """A trainable model and its frozen prior; the prior's weight is the ensemble's."""
+
     trainable: no.WnoModel
     prior: no.WnoModel
-    prior_weight: float
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
+    def predict(self, inputs: np.ndarray, prior_weight: float) -> np.ndarray:
         out = self.trainable.predict(inputs)
-        if self.prior_weight != 0.0:
-            out = out + self._prior_share(inputs)
+        if prior_weight != 0.0:
+            out = out + self._prior_share(inputs, prior_weight)
         return out
 
-    def residual_targets(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def residual_targets(self, inputs: np.ndarray, targets: np.ndarray,
+                         prior_weight: float) -> np.ndarray:
         """Targets for the trainable model once the prior's share is removed."""
-        if self.prior_weight == 0.0:
+        if prior_weight == 0.0:
             return np.asarray(targets, dtype=np.float64)
-        return targets - self._prior_share(inputs)
+        return targets - self._prior_share(inputs, prior_weight)
 
-    def _prior_share(self, inputs: np.ndarray) -> np.ndarray:
+    def _prior_share(self, inputs: np.ndarray, prior_weight: float) -> np.ndarray:
         """weight * (prior(u) - prior output mean), the prior's part of a prediction."""
         prior_mean = 0.0 if self.prior.norm is None else self.prior.norm.out_mean
-        return self.prior_weight * (self.prior.predict(inputs) - prior_mean)
+        return prior_weight * (self.prior.predict(inputs) - prior_mean)
 
 
 @dataclass
@@ -78,11 +80,11 @@ def prior_config(config: no.WnoConfig) -> no.WnoConfig:
     return replace(config, layers=min(2, config.layers), activation="gelu")
 
 
-def build_member(config: no.WnoConfig, prior_weight: float, rng: SeededRng, k: int) -> RpMember:
+def build_member(config: no.WnoConfig, rng: SeededRng, k: int) -> RpMember:
     base = rng.substream(_MEMBER_BLOCK * k)
     trainable = no.WnoModel.initialize(config, base.substream(_INIT_OFF))
     prior = no.WnoModel.initialize(prior_config(config), base.substream(_PRIOR_OFF))
-    return RpMember(trainable, prior, prior_weight)
+    return RpMember(trainable, prior)
 
 
 def rp_train(
@@ -111,7 +113,7 @@ def rp_train(
     if len(inputs) == 0:
         raise ValueError("training dataset is empty")
     loss_config = loss_config or no.LossConfig("l2")
-    members = [build_member(config, prior_weight, rng, k) for k in range(n_c)]
+    members = [build_member(config, rng, k) for k in range(n_c)]
     if config.normalize:
         for member in members:
             member.trainable.set_normalization(inputs, targets)
@@ -123,7 +125,7 @@ def rp_train(
             return no.train(
                 member.trainable,
                 inputs,
-                member.residual_targets(inputs, targets),
+                member.residual_targets(inputs, targets, prior_weight),
                 loss_config,
                 epochs,
                 batch_size,
@@ -139,7 +141,8 @@ def rp_train(
 
 def rp_predict(ensemble: RpEnsemble, inputs: np.ndarray):
     """Elementwise ensemble mean and population standard deviation."""
-    preds = np.stack(member_map(lambda m: m.predict(inputs), ensemble.members))
+    preds = np.stack(member_map(lambda m: m.predict(inputs, ensemble.prior_weight),
+                                ensemble.members))
     mean = preds.mean(axis=0)
     spread = np.sqrt(np.mean((preds - mean) ** 2, axis=0))
     return mean, spread
@@ -195,7 +198,7 @@ def load_ensemble(directory) -> RpEnsemble:
         raise sio.FormatError(f"non-finite 'prior_weight' {weight} in {path}")
     members = [
         RpMember(no.load_model(directory / f"member_{i:03d}.ckpt"),
-                 no.load_model(directory / f"member_{i:03d}_prior.ckpt"), weight)
+                 no.load_model(directory / f"member_{i:03d}_prior.ckpt"))
         for i in range(n_c)
     ]
     return RpEnsemble(members, weight)

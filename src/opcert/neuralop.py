@@ -326,31 +326,37 @@ class LossConfig:
             raise ValueError("loss weights must be non-negative")
 
 
-def _loss_node(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig) -> ad.Node:
-    t = ad.constant(target.reshape(pred.value.shape))
+def _loss(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig, share: float):
+    """A chunk's loss times its share of the batch, and the backward's seeds.
+
+    Returns (value, seeds): seeds pairs the prediction node, and for slf
+    each spike gate node, with the value's gradient with respect to it,
+    the (node, cotangent) pairs that `ad.backward` takes.
+    """
+    p = pred.value
+    d = p - target.reshape(p.shape)
     if cfg.kind == "pinball":
-        d = ad.sub(pred, t)
-        sq = ad.sum_per_sample(ad.mul(d, d))
-        norms = ad.sqrt_vec(sq)
-        b = pred.value.shape[0]
+        # sum_b w_b ||d_b||, whose gradient w_b d_b / ||d_b|| stays finite at d_b = 0
+        b = p.shape[0]
+        norms = np.sqrt((d * d).sum(axis=tuple(range(1, d.ndim))))
         t_norms = np.linalg.norm(target.reshape(b, -1), axis=1)
-        p_norms = np.linalg.norm(pred.value.reshape(b, -1), axis=1)
+        p_norms = np.linalg.norm(p.reshape(b, -1), axis=1)
         weights = np.where(t_norms >= p_norms, cfg.eta, 1.0 - cfg.eta) / b
-        return ad.dot_const(norms, weights)
-    d = ad.sub(pred, t)
-    base = ad.mean_all(ad.mul(d, d))
+        per_sample = share * weights / (2.0 * np.maximum(norms, 1e-150))
+        g = per_sample.reshape((b,) + (1,) * (d.ndim - 1)) * d
+        return np.dot(norms, weights) * share, [(pred, g + g)]
+    mse = np.mean(d * d)  # its gradient is 2 d / d.size
     if cfg.kind == "l2":
-        return base
-    total = None
-    count = 0
-    for g in gates:
-        s = ad.sum_all(g)
-        total = s if total is None else ad.add(total, s)
-        count += g.value.size
-    if total is None:
+        g = share / d.size * d
+        return mse * share, [(pred, g + g)]
+    if not gates:
         raise NonSpikingModelError("slf loss requires spiking activation sites")
-    ratio = ad.scale(total, 1.0 / count)
-    return ad.add(ad.scale(base, cfg.alpha_w), ad.scale(ratio, cfg.beta_w))
+    count = sum(gate.value.size for gate in gates)
+    rate = sum(np.sum(gate.value) for gate in gates) * (1.0 / count)
+    g = share * cfg.alpha_w / d.size * d
+    rate_g = share * cfg.beta_w * (1.0 / count)
+    seeds = [(pred, g + g)] + [(gate, np.full(gate.value.shape, rate_g)) for gate in gates]
+    return (mse * cfg.alpha_w + rate * cfg.beta_w) * share, seeds
 
 
 # --------------------------------------------------------------------------
@@ -486,14 +492,18 @@ def train(
     Each step runs its forward and backward on chunks of `_chunk_size`
     samples of the mini-batch, as `predict` does, and `ad.backward`
     accumulates every chunk's gradients into `Parameter.grad` before the
-    Adam step. Every loss is a per-sample mean, so each chunk's loss is
-    scaled by the chunk's share of the batch: the summed gradients and
-    the logged loss are the batch's, up to the order of the sums (a batch
-    of one chunk keeps every bit). `ad.backward` frees a chunk's graph as
-    it goes, so one chunk's graph is live at a time, and a step's peak
-    does not grow with the batch. Within a chunk, `forward_nodes` keeps
-    only what the backward reads, and the projection (`ad.projection`)
-    keeps one (chunk, N, proj_hidden) array, gelu's cdf.
+    Adam step. The loss needs no graph: `_loss` forms its value and its
+    gradients with respect to the prediction (and the spike gates) in
+    closed form, and the backward starts from those cotangents. Every
+    loss is a per-sample mean, so `_loss` scales each chunk's value and
+    cotangents by the chunk's share of the batch: the summed gradients
+    and the logged loss are the batch's, up to the order of the sums (a
+    batch of one chunk keeps every bit). `ad.backward` frees a chunk's
+    graph as it goes, so one chunk's graph is live at a time, and a
+    step's peak does not grow with the batch. Within a chunk,
+    `forward_nodes` keeps only what the backward reads, and the
+    projection (`ad.projection`) keeps one (chunk, N, proj_hidden) array,
+    gelu's cdf.
 
     The model trains on the calling thread; ensembles and the quantile
     pair train one model per core through `core.member_map`. Every
@@ -521,14 +531,14 @@ def train(
                 val = 0.0
                 for part in (idx[c : c + step] for c in range(0, len(idx), step)):
                     pred, gates = model.forward_nodes(inputs[part])
-                    loss = ad.scale(_loss_node(pred, gates, y_norm[part], loss_config),
-                                    len(part) / len(idx))
-                    if not np.isfinite(loss.value):
+                    loss, seeds = _loss(pred, gates, y_norm[part], loss_config,
+                                        len(part) / len(idx))
+                    if not np.isfinite(loss):
                         raise TrainingDiverged(
                             f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
                         )
-                    ad.backward(loss)
-                    val += float(loss.value)
+                    ad.backward(*zip(*seeds))
+                    val += float(loss)
                 adam_step(model.parameters(), state, lr=lr)
                 total += val * len(idx)
                 seen += len(idx)

@@ -1,4 +1,4 @@
-"""Central-difference check of the analytic gradients of `opcert.autodiff`."""
+"""Central-difference check of the vector-Jacobian products of `opcert.autodiff`."""
 
 from __future__ import annotations
 
@@ -17,13 +17,16 @@ def grad_check(
 ):
     """Max relative error between analytic gradients and central differences.
 
-    closure() must rebuild the (deterministic) scalar loss graph from the
-    parameters' current values. Returns {param name: max rel error} over
-    up to `samples` randomly chosen coordinates per parameter; empty when
-    there are no parameters. Coordinates where both magnitudes fall below
-    atol are skipped: central differences at step eps cannot resolve
-    gradients beneath roughly machine-eps/eps, so comparing there would
-    only measure roundoff.
+    closure() must rebuild the (deterministic) output node from the
+    parameters' current values. A cotangent c of the output's shape is
+    drawn from `seed`; the analytic side is `backward([out], [c])`, the
+    numeric side central differences of <c, out>. Returns {param name:
+    max rel error} over up to `samples` randomly chosen coordinates per
+    parameter (all of them when it has no more); empty when there are no
+    parameters. Coordinates where both magnitudes fall below atol are
+    skipped: central differences at step eps cannot resolve gradients
+    beneath roughly machine-eps/eps, so comparing there would only
+    measure roundoff.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -32,9 +35,15 @@ def grad_check(
         return {}
     for p in parameters:
         p.zero_grad()
-    backward(closure())
-    analytic = {p.name: p.grad.copy() for p in parameters}
+    out = closure()
     rng = np.random.default_rng(seed)
+    cotangent = rng.standard_normal(out.value.shape)
+    backward([out], [cotangent])
+    analytic = {p.name: p.grad.copy() for p in parameters}
+
+    def objective():
+        return float(np.sum(cotangent * closure().value))
+
     errors = {}
     for p in parameters:
         flat = p.value.reshape(-1)
@@ -46,9 +55,9 @@ def grad_check(
         for i in idxs:
             keep = flat[i]
             flat[i] = keep + eps
-            up = float(closure().value)
+            up = objective()
             flat[i] = keep - eps
-            dn = float(closure().value)
+            dn = objective()
             flat[i] = keep
             fd = (up - dn) / (2.0 * eps)
             if abs(ana[i]) < atol and abs(fd) < atol:

@@ -14,48 +14,43 @@ from grad_check import grad_check
 import wavelet_oracle as wo
 
 
-def fd_gradient(closure, param, eps=1e-5):
-    flat = param.value.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        up = float(closure().value)
-        flat[i] = keep - eps
-        dn = float(closure().value)
-        flat[i] = keep
-        grad[i] = (up - dn) / (2 * eps)
-    return grad.reshape(param.value.shape)
-
-
 class TestBasicOps:
     def test_gelu_zero_is_zero(self):
         node = ad.gelu(ad.constant(np.zeros(4)))
         assert np.array_equal(node.value, np.zeros(4))
 
-    def test_add_mul_shape_mismatch(self):
+    def test_add_shape_mismatch(self):
         a, b = ad.constant(np.zeros(3)), ad.constant(np.zeros(4))
         with pytest.raises(ShapeError):
             ad.add(a, b)
-        with pytest.raises(ShapeError):
-            ad.mul(a, b)
 
     def test_gelu_backward_is_value_grad_derivative(self):
         # the derivative is formed in the backward, bit for bit as before
         gen = np.random.default_rng(13)
         x = ad.Parameter(gen.standard_normal((4, 7)) * 3.0, "x")
         g = gen.standard_normal((4, 7))
-        ad.backward(ad.sum_all(ad.mul(ad.gelu(x), ad.constant(g))))
+        ad.backward([ad.gelu(x)], [g])
         val, dval = one_shot_gelu(x.value)
         assert np.array_equal(ad.gelu(x).value, val)
         assert np.array_equal(x.grad, dval * g)
 
     def test_quadratic_gradient_is_identity(self):
-        # loss = ||x||^2 / 2  ->  grad = x
+        # loss = ||out||^2 / 2 of out = x + 0: seeding out with d loss / d out
+        # = out gives grad = x
         x = ad.Parameter(np.array([1.0, -2.0, 3.5]), "x")
-        loss = ad.scale(ad.sum_all(ad.mul(x, x)), 0.5)
-        ad.backward(loss)
-        assert np.allclose(x.grad, x.value)
+        out = ad.add(x, ad.constant(np.zeros(3)))
+        ad.backward([out], [out.value])
+        assert np.array_equal(x.grad, x.value)
+
+    def test_outputs_sum_their_pullbacks(self):
+        # two outputs over one input, and one output passed twice
+        gen = np.random.default_rng(14)
+        x = ad.Parameter(gen.standard_normal((2, 5)), "x")
+        g1, g2, g3 = gen.standard_normal((3, 2, 5))
+        twice = ad.add(x, x)
+        ad.backward([ad.gelu(x), twice, twice], [g1, g2, g3])
+        assert np.allclose(x.grad, g1 * one_shot_gelu(x.value)[1] + 2.0 * (g2 + g3),
+                           rtol=1e-14, atol=0.0)
 
     def test_affine_gelu_chain_matches_fd(self):
         gen = np.random.default_rng(0)
@@ -64,55 +59,55 @@ class TestBasicOps:
         x = gen.standard_normal((5, 3))
 
         def closure():
-            return ad.mean_all(ad.gelu(ad.affine(ad.constant(x), w, b)))
+            return ad.gelu(ad.affine(ad.constant(x), w, b))
 
-        for p in (w, b):
-            p.zero_grad()
-        ad.backward(closure())
-        for p in (w, b):
-            fd = fd_gradient(closure, p)
-            rel = np.abs(p.grad - fd) / (np.abs(p.grad) + np.abs(fd) + 1e-12)
-            assert rel.max() < 1e-6
+        errors = grad_check(closure, [w, b])  # every coordinate of both
+        assert max(errors.values()) < 1e-6
 
-    def test_non_scalar_loss_rejected(self):
+    def test_cotangent_of_wrong_shape_rejected(self):
         x = ad.Parameter(np.ones(3), "x")
+        for cotangent in (np.ones(()), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ad.GraphError):
+                ad.backward([ad.add(x, x)], [cotangent])
         with pytest.raises(ad.GraphError):
-            ad.backward(ad.mul(x, x))
+            ad.backward([ad.add(x, x)], [])
+        assert np.array_equal(x.grad, np.zeros(3))
 
     def test_backward_consumes_graph(self):
         x = ad.Parameter(np.ones(3), "x")
-        loss = ad.sum_all(x)
-        ad.backward(loss)
+        out = ad.add(x, x)
+        ad.backward([out], [np.ones(3)])
         with pytest.raises(ad.GraphError):
-            ad.backward(loss)
+            ad.backward([out], [np.ones(3)])
 
     def test_backward_frees_the_graph_it_used(self):
         # the arrays the closures kept go during the backward, though the
-        # caller still holds the loss
+        # caller still holds the output
         gen = np.random.default_rng(7)
         w = ad.Parameter(gen.standard_normal((3, 4)), "w")
         b = ad.Parameter(gen.standard_normal(4), "b")
         h = ad.affine(ad.constant(gen.standard_normal((2, 5, 3))), w, b)
         kept = weakref.ref(h.value)
-        loss = ad.mean_all(ad.mul(ad.gelu(h), ad.constant(gen.standard_normal((2, 5, 4)))))
-        value = float(loss.value)
+        out = ad.gelu(h)
+        value, g = out.value.copy(), gen.standard_normal((2, 5, 4))
         del h
-        ad.backward(loss)
+        ad.backward([out], [g])
         assert kept() is None
-        assert float(loss.value) == value
+        assert np.array_equal(out.value, value)
         with pytest.raises(ad.GraphError):
-            ad.backward(loss)
+            ad.backward([out], [g])
 
     def test_backward_through_a_used_node_raises(self):
         # its parents are gone, so a second loss on it would get no gradient
         x = ad.Parameter(np.array([1.0, -2.0, 3.0]), "x")
-        h = ad.mul(x, x)
-        ad.backward(ad.sum_all(h))
+        g = np.array([0.5, 2.0, -1.0])
+        h = ad.add(x, x)
+        ad.backward([h], [g])
         with pytest.raises(ad.GraphError):
-            ad.backward(ad.mean_all(h))
+            ad.backward([ad.add(h, h)], [g])
         x.zero_grad()
-        ad.backward(ad.sum_all(ad.mul(x, x)))
-        assert np.array_equal(x.grad, 2.0 * x.value)
+        ad.backward([ad.add(x, x)], [g])
+        assert np.array_equal(x.grad, 2.0 * g)
 
     def test_gelu_gradient_runs_once(self):
         # it is written over the kept cdf, so a second call has nothing to use
@@ -124,15 +119,16 @@ class TestBasicOps:
 
     def test_released_value_raises_and_gradients_flow(self):
         x = ad.Parameter(np.array([1.0, -2.0, 3.0]), "x")
-        h = ad.mul(x, x)
-        loss = ad.sum_all(h)
+        g = np.array([0.5, 2.0, -1.0])
+        h = ad.add(x, x)
+        out = ad.add(h, h)
         ad.release(h)
         with pytest.raises(ad.GraphError):
             h.value
         with pytest.raises(ad.GraphError):
-            ad.mean_all(h)
-        ad.backward(loss)
-        assert np.array_equal(x.grad, 2.0 * x.value)
+            ad.gelu(h)
+        ad.backward([out], [g])
+        assert np.array_equal(x.grad, 4.0 * g)
 
     def test_kept_input_freed_before_the_input_gradient(self):
         # last parent first: the weight gradient drops the input it kept
@@ -148,17 +144,8 @@ class TestBasicOps:
         input_grad = out.grad_fns[0]
         out.grad_fns = (lambda g: (freed.append(kept() is None), input_grad(g))[1],
                         *out.grad_fns[1:])
-        ad.backward(ad.sum_all(out))
+        ad.backward([out], [np.ones(out.value.shape)])
         assert freed == [True]
-
-    def test_sum_per_sample_and_dot(self):
-        x = ad.Parameter(np.arange(6.0).reshape(2, 3), "x")
-        per = ad.sum_per_sample(x)
-        assert np.array_equal(per.value, np.array([3.0, 12.0]))
-        loss = ad.dot_const(per, np.array([2.0, -1.0]))
-        ad.backward(loss)
-        assert np.array_equal(x.grad[0], np.full(3, 2.0))
-        assert np.array_equal(x.grad[1], np.full(3, -1.0))
 
 
 class TestWaveletOps:
@@ -188,7 +175,7 @@ class TestWaveletOps:
         c = ad.Parameter(np.random.default_rng(2).standard_normal((1, 8, 2)), "c")
         out = ad.dwt1d(ad.idwt1d(c, s), a)
         weights = np.random.default_rng(3).standard_normal(out.value.shape)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
+        ad.backward([out], [weights])
         assert np.max(np.abs(c.grad - weights)) < 1e-12
 
     def test_dwt_gradient_is_inverse_transform(self):
@@ -198,7 +185,7 @@ class TestWaveletOps:
         node = ad.dwt1d(x, wv.lowpass_pair("db4", 64, 2)[0])
         assert node.value.shape == (1, 16, 1)
         g = np.random.default_rng(5).standard_normal(node.value.shape)
-        ad.backward(ad.sum_all(ad.mul(node, ad.constant(g))))
+        ad.backward([node], [g])
         packed = np.zeros((1, 1, 64))
         packed[..., :16] = np.swapaxes(g, -1, -2)
         expected = np.swapaxes(wo.idwt_packed(packed, "db4", 2), -1, -2)
@@ -222,11 +209,7 @@ class TestWaveletOps:
             dwt = lambda: ad.dwt2d(x, analyses)  # noqa: E731
             idwt = lambda: ad.idwt2d(c, syntheses)  # noqa: E731
         for op, p in ((dwt, x), (idwt, c)):
-            def closure():
-                out = op()
-                return ad.mean_all(ad.mul(out, out))
-
-            errors = grad_check(closure, [p], eps=1e-5, samples=20)
+            errors = grad_check(op, [p], eps=1e-5, samples=20)
             assert max(errors.values()) < 1e-6
 
     def test_lowpass_ops_reject_off_grid_fields(self):
@@ -260,10 +243,7 @@ class TestWaveletOps:
         a = ad.Parameter(gen.standard_normal((2, 4, 3)), "a")
         r = ad.Parameter(gen.standard_normal((3, 3)) * 0.4, "r")
 
-        def closure():
-            return ad.mean_all(ad.mul(ad.wavelet_scale(a, r), ad.wavelet_scale(a, r)))
-
-        errors = grad_check(closure, [a, r], eps=1e-5, samples=20)
+        errors = grad_check(lambda: ad.wavelet_scale(a, r), [a, r], eps=1e-5, samples=20)
         assert max(errors.values()) < 1e-6
 
 
@@ -282,12 +262,10 @@ class TestVsnOp:
         x = ad.Parameter(gen.standard_normal((4, 5)), "x")
         th = ad.Parameter(gen.uniform(-0.5, 0.5, 5), "th")
 
-        def closure():
-            out, gate = ad.vsn(x, th, smooth=True)
-            return ad.add(ad.mean_all(out), ad.scale(ad.mean_all(gate), 0.3))
-
-        errors = grad_check(closure, [x, th], eps=1e-5, samples=20)
-        assert max(errors.values()) < 1e-4
+        for k in (0, 1):  # the output, then the gate
+            errors = grad_check(lambda: ad.vsn(x, th, smooth=True)[k], [x, th], eps=1e-5,
+                                samples=20)
+            assert max(errors.values()) < 1e-4
 
     def test_surrogate_derivative_values(self):
         # the gate's gradient is the logistic surrogate k s (1 - s), s = expit(k(m - th))
@@ -311,7 +289,7 @@ class TestGradCheck:
     def test_eps_bounds(self):
         x = ad.Parameter(np.ones(2), "x")
         with pytest.raises(ValueError):
-            grad_check(lambda: ad.sum_all(x), [x], eps=1e-2)
+            grad_check(lambda: ad.add(x, x), [x], eps=1e-2)
 
 
 # --- in-place kernels against the one-shot formulas ------------------------
@@ -435,7 +413,7 @@ def head_results(op, values, g):
     params = [ad.Parameter(v.copy(), name) for v, name in zip(values, HEAD_NAMES)]
     out = op(*params)
     value = out.value.copy()
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    ad.backward([out], [g])
     return [value] + [p.grad for p in params]
 
 
@@ -452,11 +430,7 @@ class TestProjection:
         values, g = head_values(shape, hidden=6, out=2)
         params = [ad.Parameter(v, name) for v, name in zip(values, HEAD_NAMES)]
 
-        def closure():
-            out = ad.projection(*params)
-            return ad.mean_all(ad.mul(out, out))
-
-        errors = grad_check(closure, params, eps=1e-5, samples=20)
+        errors = grad_check(lambda: ad.projection(*params), params, eps=1e-5, samples=20)
         assert set(errors) == set(HEAD_NAMES) and max(errors.values()) < 1e-6
 
     @pytest.mark.parametrize("shape, hidden, out", [
@@ -511,7 +485,7 @@ class TestLayerSum:
                       lambda a, b, c: bias_add_oracle(ad.add(a, b), c)):
             params = [ad.Parameter(v.copy(), n) for v, n in zip(vals, "abc")]
             out = build(*params)
-            ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
+            ad.backward([out], [weights])
             results.append([out.value] + [p.grad for p in params])
         for got, want in zip(*results):
             assert np.array_equal(got, want)

@@ -119,7 +119,7 @@ def test_uncalibrated_quantile_band_keeps_crossed_pairs():
     qf = cf.QField(np.full(16, 3.0), GridSpec((16,)), 0.05)
     cal, unc, nmse = cli._evaluate("qwno", lambda u: (lo, hi, np.ones_like(lo)), qf, None,
                                    truths, 1.96)
-    assert cal.average == 100.0 and unc.average == 0.0
+    assert cal.summary()["average"] == 100.0 and unc.summary()["average"] == 0.0
     assert nmse == 100.0  # the midpoint of (1, -1) is 0
 
 

@@ -200,16 +200,16 @@ class TestCoverage:
     def test_truth_at_mean_full_coverage(self):
         band = Band(-np.ones((5, 4)), np.ones((5, 4)))
         truths = np.zeros((5, 4))
-        report = cf.coverage_eval(band, truths)
-        assert report.average == 100.0
-        assert report.below_target == 0
-        assert report.at_or_above_target == 4
+        s = cf.coverage_eval(band, truths).summary()
+        assert s["average"] == 100.0
+        assert s["below_target"] == 0
+        assert s["at_or_above_target"] == 4
 
     def test_zero_width_offset_zero_coverage(self):
         band = Band(np.zeros((4, 3)), np.zeros((4, 3)))
-        report = cf.coverage_eval(band, np.ones((4, 3)))
-        assert report.average == 0.0
-        assert report.below_target == 3
+        s = cf.coverage_eval(band, np.ones((4, 3))).summary()
+        assert s["average"] == 0.0
+        assert s["below_target"] == 3
 
     def test_matches_counting_oracle(self):
         gen = SeededRng(14).generator()
@@ -224,8 +224,12 @@ class TestCoverage:
     def test_average_is_mean(self):
         gen = SeededRng(15).generator()
         report = cf.CoverageReport(gen.uniform(0, 100, 50), 95.0)
-        assert report.average == pytest.approx(report.per_location.mean(), abs=1e-9)
-        assert report.below_target + report.at_or_above_target == 50
+        s = report.summary()
+        assert s["average"] == pytest.approx(report.per_location.mean(), abs=1e-9)
+        assert s["min"] == report.per_location.min() and s["max"] == report.per_location.max()
+        assert s["below_target"] == np.count_nonzero(report.per_location < 95.0)
+        assert s["below_target"] + s["at_or_above_target"] == 50
+        assert s["target_percent"] == 95.0
 
     def test_band_must_match_truths(self):
         with pytest.raises(ValueError):
@@ -235,7 +239,7 @@ class TestCoverage:
 
     def test_boundary_counts_as_covered(self):
         band = Band(np.zeros((1, 1)), np.ones((1, 1)))
-        assert cf.coverage_eval(band, np.array([[1.0]])).average == 100.0
+        assert cf.coverage_eval(band, np.array([[1.0]])).summary()["average"] == 100.0
 
 
 def pair_score(y, lo, hi):

@@ -32,7 +32,7 @@ class FakeMember:
     def __init__(self, value):
         self.value = value
 
-    def predict(self, inputs):
+    def predict(self, inputs, prior_weight):
         return np.full(np.asarray(inputs).shape, self.value)
 
 
@@ -104,7 +104,7 @@ class TestTraining:
             epochs=2, batch_size=3,
         )
         member = ensemble.members[0]
-        assert np.array_equal(member.predict(x), member.trainable.predict(x))
+        assert np.array_equal(member.predict(x, 0.0), member.trainable.predict(x))
 
     def test_single_member_zero_spread(self, small_data):
         x, y = small_data
@@ -119,7 +119,7 @@ class TestTraining:
         x, y = small_data
         rng = SeededRng(6)
         before = [
-            param_hash(ens.build_member(tiny_config(), 1.0, rng, k).prior)
+            param_hash(ens.build_member(tiny_config(), rng, k).prior)
             for k in range(2)
         ]
         ensemble, _ = ens.rp_train(
@@ -150,7 +150,7 @@ class TestTraining:
             epochs=400, batch_size=1, lr=2e-3,
         )
         for member in ensemble.members:
-            err = float(np.sqrt(np.mean((member.predict(x) - y) ** 2)))
+            err = float(np.sqrt(np.mean((member.predict(x, 1.0) - y) ** 2)))
             assert err < 10 * np.sqrt(1e-4)
 
     def test_prior_architecture_is_shallow_continuous(self):
@@ -197,6 +197,26 @@ class TestPersistence:
         mean1, spread1 = ens.rp_predict(loaded, x)
         assert np.array_equal(mean0, mean1)
         assert np.array_equal(spread0, spread1)
+
+    def test_the_ensemble_weight_is_the_one_applied_and_saved(self, tmp_path):
+        # members carry no weight of their own, so an ensemble built from
+        # members trained at 1.0 predicts, saves and reloads at its own 0.5
+        gen = SeededRng(15).generator()
+        x = gen.standard_normal((4, 32))
+        trained, _ = ens.rp_train(x, 0.2 * x, tiny_config(), n_c=2, prior_weight=1.0,
+                                  rng=SeededRng(16), epochs=1, batch_size=2)
+        half = ens.RpEnsemble(trained.members, 0.5)
+        assert all(m.prior.norm is None for m in half.members)
+        preds = np.stack([m.trainable.predict(x) + 0.5 * m.prior.predict(x)
+                          for m in half.members])
+        mean, spread = ens.rp_predict(half, x)
+        assert np.array_equal(mean, preds.mean(axis=0))
+        assert not np.array_equal(mean, ens.rp_predict(trained, x)[0])
+        ens.save_ensemble(half, tmp_path / "ens")
+        loaded = ens.load_ensemble(tmp_path / "ens")
+        assert loaded.prior_weight == 0.5
+        for got, want in zip(ens.rp_predict(loaded, x), (mean, spread)):
+            assert np.array_equal(got, want)
 
 
 class TestMemberPool:
@@ -245,7 +265,7 @@ class TestMemberPool:
         # six threads with frequent switches, filling the wavelet cache concurrently
         cfg = tiny_config(grid=GridSpec((64,)))
         ensemble = ens.RpEnsemble(
-            [ens.build_member(cfg, 1.0, SeededRng(17), k) for k in range(6)], 1.0
+            [ens.build_member(cfg, SeededRng(17), k) for k in range(6)], 1.0
         )
         x = SeededRng(18).generator().standard_normal((5, 64))
         monkeypatch.setattr(core, "_available_cpus", lambda: 1)

@@ -10,6 +10,7 @@ from opcert import wavelet as wv
 from opcert.core import GridError, GridSpec, SeededRng
 
 import wavelet_oracle as wo
+from grad_check import grad_check
 from test_autodiff import one_shot_gelu
 
 
@@ -229,11 +230,36 @@ def pinball_oracle(pred, truth, eta):
 
 def pinball_loss(pred, truth, eta):
     """The training loss of (B, n) predictions: the batch mean of the per-sample loss."""
-    node = no._loss_node(ad.constant(pred[..., None]), [], truth, no.LossConfig("pinball", eta))
-    return float(node.value)
+    return no._loss(ad.constant(pred[..., None]), [], truth, no.LossConfig("pinball", eta), 1.0)[0]
+
+
+def loss_node(pred, gates, target, cfg, share):
+    """`no._loss` as a scalar node whose gradient closures return its seeds."""
+    value, seeds = no._loss(pred, gates, target, cfg, share)
+    nodes, cotangents = zip(*seeds)
+    return ad.Node(value, nodes, [lambda g, c=c: g * c for c in cotangents])
 
 
 class TestLosses:
+    @pytest.mark.parametrize("cfg", [
+        no.LossConfig("l2"), no.LossConfig("pinball", eta=0.8),
+        no.LossConfig("slf", alpha_w=1.5, beta_w=0.3),
+    ])
+    def test_cotangents_match_central_differences(self, cfg):
+        # at a chunk share of 3/8; the pinball batch has samples on both
+        # sides of ||y|| = ||p||, and slf seeds the prediction and each gate
+        gen = SeededRng(39).generator()
+        pred = ad.Parameter(gen.standard_normal((4, 8, 1)), "pred")
+        target = gen.standard_normal((4, 8)) * np.array([3.0, 3.0, 0.3, 0.3])[:, None]
+        gates = [ad.Parameter(gen.uniform(size=(4, 8, 3)), f"gate{i}") for i in range(2)]
+        above = np.linalg.norm(target, axis=1) >= np.linalg.norm(pred.value[..., 0], axis=1)
+        assert above.any() and not above.all()
+        params = [pred] + (gates if cfg.kind == "slf" else [])
+        assert [node for node, _ in no._loss(pred, gates, target, cfg, 0.375)[1]] == params
+        errors = grad_check(lambda: loss_node(pred, gates, target, cfg, 0.375), params,
+                            samples=96)
+        assert set(errors) == {p.name for p in params} and max(errors.values()) < 1e-6
+
     def test_pinball_half_is_half_gap_norm(self):
         gen = SeededRng(20).generator()
         y, p = gen.standard_normal((2, 1, 32))
@@ -263,17 +289,17 @@ class TestLosses:
         gate = ad.constant((gen.standard_normal((2, 8, 3)) > 0).astype(np.float64))
         mse = float(np.mean((pred.value[..., 0] - target) ** 2))
         rate = float(np.mean(gate.value))
-        base = no._loss_node(pred, [gate], target, no.LossConfig("slf", alpha_w=1.0))
-        assert float(base.value) == pytest.approx(mse, rel=1e-12)
-        mixed = no._loss_node(
-            pred, [gate], target, no.LossConfig("slf", alpha_w=2.0, beta_w=0.5)
+        base, _ = no._loss(pred, [gate], target, no.LossConfig("slf", alpha_w=1.0), 1.0)
+        assert base == pytest.approx(mse, rel=1e-12)
+        mixed, _ = no._loss(
+            pred, [gate], target, no.LossConfig("slf", alpha_w=2.0, beta_w=0.5), 0.25
         )
-        assert float(mixed.value) == pytest.approx(2.0 * mse + 0.5 * rate, rel=1e-12)
+        assert mixed == pytest.approx(0.25 * (2.0 * mse + 0.5 * rate), rel=1e-12)
 
     def test_l2_is_mse(self):
         pred = ad.constant(np.zeros((1, 4, 1)))
-        loss = no._loss_node(pred, [], np.full((1, 4), 2.0), no.LossConfig("l2"))
-        assert float(loss.value) == pytest.approx(4.0)
+        loss, _ = no._loss(pred, [], np.full((1, 4), 2.0), no.LossConfig("l2"), 1.0)
+        assert loss == pytest.approx(4.0)
 
     @pytest.mark.parametrize("eta", [0.025, 0.5, 0.975])
     def test_constant_pinball_minimizer_is_quantile(self, eta):
@@ -461,7 +487,7 @@ class TestStepMemory:
         def step():
             model.zero_grads()
             pred, gates = model.forward_nodes(x)
-            ad.backward(no._loss_node(pred, gates, y, no.LossConfig("l2")))
+            ad.backward(*zip(*no._loss(pred, gates, y, no.LossConfig("l2"), 1.0)[1]))
 
         step()  # builds the cached wavelet pairs outside the trace
         tracemalloc.start()
@@ -480,7 +506,7 @@ class TestStepMemory:
         model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(62))
         x, y = SeededRng(63).generator().standard_normal((2, 3, 64))
         pred, gates = model.forward_nodes(x)
-        loss = no._loss_node(pred, gates, y, no.LossConfig("slf", beta_w=0.1))
+        loss, seeds = no._loss(pred, gates, y, no.LossConfig("slf", beta_w=0.1), 1.0)
         nodes, stack = {}, [pred]
         while stack:  # the graph's nodes, parameters left out
             node = stack.pop()
@@ -501,10 +527,10 @@ class TestStepMemory:
             return count
 
         assert len(released) == 2 * model.config.layers and hidden_values() == 0
-        want = [pred.value.copy(), float(loss.value)] + [g.value.copy() for g in gates]
-        ad.backward(loss)
-        got = [pred.value, float(loss.value)] + [g.value for g in gates]
-        assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = [pred.value.copy()] + [g.value.copy() for g in gates]
+        ad.backward(*zip(*seeds))
+        got = [pred.value] + [g.value for g in gates]
+        assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
         assert hidden_values() == 0
         for node in released:
             with pytest.raises(ad.GraphError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -154,7 +155,7 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_thread_controls() -> list:
+def _scan_blas_thread_controls() -> list:
     """(get, set) thread-count functions, one pair per loaded OpenBLAS."""
     try:
         with open("/proc/self/maps") as fh:
@@ -182,12 +183,31 @@ def _blas_thread_controls() -> list:
     return controls
 
 
+# (len(sys.modules) at the last scan, the controls it found); replaced
+# whole, so a thread reads either the old pair or the new one
+_blas_scan = (-1, [])
+
+
+def _blas_thread_controls() -> list:
+    """The last scan's controls; a change in sys.modules' size rescans."""
+    global _blas_scan
+    count = len(sys.modules)
+    if _blas_scan[0] != count:
+        _blas_scan = (count, _scan_blas_thread_controls())
+    return _blas_scan[1]
+
+
 @contextmanager
 def one_blas_thread():
     """Every loaded OpenBLAS at one thread inside the block.
 
     Yields whether any thread setter was found. Each old count is
-    restored on exit, also when the block raises.
+    restored on exit, also when the block raises. The (get, set) pairs
+    are cached, so an entry costs a few microseconds: the process maps
+    are read and each OpenBLAS opened again only when sys.modules has
+    changed size since the last scan, since an OpenBLAS only arrives
+    with an extension import. A caller imports what it will run before
+    it enters, so that library is pinned too.
     """
     saved = [(setter, getter()) for getter, setter in _blas_thread_controls()]
     try:

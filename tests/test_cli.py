@@ -511,6 +511,17 @@ def test_failed_solve_exits_8_and_writes_no_data(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.rglob("*.opdata"))
 
 
+def test_underflowing_conductivity_exits_8(tmp_path, capsys, monkeypatch):
+    # positive, but its harmonic edge means underflow to a singular operator
+    monkeypatch.setattr(dg, "permeability_from_grf", lambda field, config:
+                        np.full_like(field, 5e-324))
+    cfg = write_config(tmp_path / "run.cfg", **{**TINY, "experiment": "darcy"})
+    assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 8
+    err = capsys.readouterr().err
+    assert "train[0]" in err and "not positive definite" in err
+    assert not list(tmp_path.rglob("*.opdata"))
+
+
 def test_default_physics_solves_every_draw(tmp_path):
     # calibration[6] at seed 0 blew up under the Crank-Nicolson/AB2 step
     cfg = write_config(tmp_path / "run.cfg", seed=0, n_train=1, n_calibration=7, n_test=1)
@@ -617,6 +628,23 @@ def test_outputs_do_not_depend_on_blas_threads(root, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
+def test_darcy_data_does_not_depend_on_blas_threads(tmp_path):
+    """generate-data writes the same Darcy bytes with 1 and 2 BLAS threads."""
+    cfg = write_config(tmp_path / "darcy.cfg", **{**TINY, "experiment": "darcy", "n_train": 2,
+                                                  "n_calibration": 2, "n_test": 2})
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "opcert.cli", "generate-data", "--config", str(cfg),
+                        "--out", str(out)], env=env, cwd=tmp_path, capture_output=True,
+                       check=True, timeout=300)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.opdata"))}
+    assert len(outputs["1"]) == 3
+    assert outputs["1"] == outputs["2"]
+
+
 def fresh_python(tmp_path, probe):
     """stdout of `probe` run in a new interpreter that imports this package."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -631,13 +659,14 @@ def test_import_starts_no_thread(tmp_path):
 
 
 def test_model_commands_import_no_sparse_or_linalg(tmp_path):
-    # only the Darcy solve needs scipy.sparse (and, through it,
-    # scipy.linalg); the other commands must not carry them
+    # only the Darcy solve needs scipy.linalg, and nothing needs
+    # scipy.sparse; the other commands must not carry them
     probe = ("import sys, numpy as np, opcert.cli, opcert.gp as gp, opcert.datagen as dg; "
              "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules)); "
              "u = dg.solve_darcy_fd(np.full((5, 5), 2.0), dg.DarcyConfig(resolution=5)); "
-             "print(callable(gp.cho_factor), bool(u[2, 2] > 0), 'scipy.sparse' in sys.modules)")
-    assert fresh_python(tmp_path, probe).splitlines() == ["[]", "True True True"]
+             "print(callable(gp.cho_factor), bool(u[2, 2] > 0), "
+             "'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)")
+    assert fresh_python(tmp_path, probe).splitlines() == ["[]", "True True True False"]
 
 
 def test_main_runs_without_mallopt(monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -177,3 +179,31 @@ class TestOneBlasThread:
         monkeypatch.setattr(core, "_blas_thread_controls", lambda: [])
         with core.one_blas_thread() as pinned:
             assert not pinned
+
+    def test_second_entry_opens_no_library(self, blas_at_two, monkeypatch):
+        controls, before = blas_at_two
+        with core.one_blas_thread():
+            pass
+        opened = []
+        cdll = core.ctypes.CDLL
+        monkeypatch.setattr(core.ctypes, "CDLL", lambda *args: opened.append(args) or cdll(*args))
+        with core.one_blas_thread() as pinned:
+            assert pinned
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before
+        assert opened == []
+
+    def test_new_module_makes_the_next_entry_rescan(self, monkeypatch):
+        scans = []
+        scan = core._scan_blas_thread_controls
+        monkeypatch.setattr(core, "_scan_blas_thread_controls", lambda: scans.append(1) or scan())
+        with core.one_blas_thread():
+            pass
+        scans.clear()
+        with core.one_blas_thread():
+            pass
+        assert scans == []
+        monkeypatch.setitem(sys.modules, "opcert_test_new_module", types.ModuleType("new"))
+        with core.one_blas_thread():
+            pass
+        assert scans == [1]

@@ -304,14 +304,16 @@ class TestDarcySolver:
                 mat[row, row] = diag / h2
         return mat
 
-    def test_matches_dense_oracle_8x8(self):
-        cfg = dg.DarcyConfig(resolution=8)
-        latent = dg.sample_grf(dg.DARCY_GRF, SeededRng(6), GridSpec((8, 8)))
+    # r = 3 is one unknown with no neighbours; r = 32 is the benchmark's grid
+    @pytest.mark.parametrize("r", [3, 8, 32])
+    def test_matches_dense_oracle(self, r):
+        cfg = dg.DarcyConfig(resolution=r)
+        latent = dg.sample_grf(dg.DARCY_GRF, SeededRng(6), GridSpec((r, r)))
         a = dg.permeability_from_grf(latent, cfg)
         u = dg.solve_darcy_fd(a, cfg)
-        mat = self.dense_matrix(a, 8)
-        u_dense = np.linalg.solve(mat, np.ones(36)).reshape(6, 6)
-        assert np.max(np.abs(u[1:-1, 1:-1] - u_dense)) < 1e-9
+        mat = self.dense_matrix(a, r)
+        u_dense = np.linalg.solve(mat, np.ones((r - 2) ** 2)).reshape(r - 2, r - 2)
+        assert np.max(np.abs(u[1:-1, 1:-1] - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
 
     def test_constant_conductivity_scaling(self):
         cfg = dg.DarcyConfig(resolution=10)
@@ -342,6 +344,12 @@ class TestDarcySolver:
         bad[3, 3] = 0.0
         with pytest.raises(ValueError):
             dg.solve_darcy_fd(bad, cfg)
+
+    def test_underflowing_conductivity_is_a_solver_error(self):
+        # positive, but every harmonic edge mean underflows to zero
+        cfg = dg.DarcyConfig(resolution=8)
+        with pytest.raises(dg.SolverError, match="not positive definite"):
+            dg.solve_darcy_fd(np.full((8, 8), 5e-324), cfg)
 
     def test_permeability_levels(self):
         cfg = dg.DarcyConfig(resolution=8)

@@ -31,7 +31,8 @@ The wavelet ops act on the coarsest approximation only and apply the
 matrices they are given, the (analysis, synthesis) pair of
 `wavelet.lowpass_pair` for each grid axis. `dwt1d` returns A v for the
 level-L approximation analysis A (its backward is A^T g), `idwt1d` applies
-the matching synthesis, and `wavelet_scale` gives a @ r - a. Because
+the matching synthesis, and `wavelet_scale` gives a_p @ r_p - a_p with
+one (C, C) matrix per approximation position p. Because
 A^T A projects onto V_L and the details pass through unchanged, the full
 transform-mix-inverse of a layer equals
 v + idwt1d(wavelet_scale(dwt1d(v), r)). `dwt2d`/`idwt2d` apply one matrix
@@ -394,22 +395,25 @@ def idwt2d(c: Node, syntheses) -> Node:
 
 
 def wavelet_scale(a: Node, r: Node) -> Node:
-    """Change a @ r - a of approximation coefficients a (..., n_a, C).
+    """Change a_p @ r_p - a_p of approximation coefficients a (..., n_a, C).
 
-    r is a single (C, C) mixing matrix shared across approximation
-    positions. Sharing it keeps the operator consistent when the
-    decomposition depth shifts with the grid resolution: it weights the
-    lowpass subspace rather than individual phase-sensitive coefficients.
+    r is (n_a, C, C), one mixing matrix per approximation position p. An
+    einsum keeps each sample's value independent of the batch, which a
+    matmul stacked over p does not (chunked predictions changed).
     """
     av, rv = a.value, r.value
-    ch = av.shape[-1]
-    if rv.shape != (ch, ch):
-        raise ShapeError(f"wavelet_scale: weights {rv.shape}, expected ({ch}, {ch})")
+    shape = av.shape[-2:] + av.shape[-1:]
+    if rv.shape != shape:
+        raise ShapeError(f"wavelet_scale: weights {rv.shape}, expected {shape}")
+
+    def back_a(g):
+        return np.einsum("...pd,pcd->...pc", g, rv) - g
 
     def back_r(g):
-        return av.reshape(-1, ch).T @ g.reshape(-1, ch)
+        lead = (-1,) + shape[:2]
+        return np.einsum("bpc,bpd->pcd", av.reshape(lead), g.reshape(lead))
 
-    return Node(av @ rv - av, (a, r), (lambda g: g @ rv.T - g, back_r))
+    return Node(np.einsum("...pc,pcd->...pd", av, rv) - av, (a, r), (back_a, back_r))
 
 
 # --- spiking activation -----------------------------------------------------

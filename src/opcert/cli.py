@@ -63,7 +63,6 @@ class RunConfig:
     alpha: float = 0.05
     width: int = 16
     layers: int = 3
-    levels: int = 3
     wavelet: str = "db6"
     proj_hidden: int = 128
     epochs: int = 200
@@ -123,7 +122,6 @@ def _wno_config(run: RunConfig, grid: GridSpec) -> no.WnoConfig:
         grid=grid,
         width=run.width,
         layers=run.layers,
-        levels=run.levels,
         wavelet=run.wavelet,
         activation="vsn" if run.model == "rp-vswno" else "gelu",
         proj_hidden=run.proj_hidden,

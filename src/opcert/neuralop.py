@@ -2,26 +2,33 @@
 
 The model is uplift -> L iterative layers -> projection. Each iterative
 layer mixes channels on the coarsest wavelet approximation with a learned
-(C, C) matrix R while every detail band passes through, adds a pointwise
-1x1 convolution and a channel bias, and applies the activation. Normalized
-grid coordinates are appended to the input function as extra channels.
+(C, C) matrix R_p per approximation position p, as WNO does (Tripura &
+Chakraborty, arXiv:2205.02191), while every detail band passes through,
+adds a pointwise 1x1 convolution and a channel bias, and applies the
+activation. Normalized grid coordinates are appended to the input
+function as extra channels.
 
 With the orthonormal transform W = [A; D], where A is the level-L
 approximation analysis, the wavelet part of a layer is
-W^T [(A v) R; D v] = v + A^T ((A v)(R - I)), since A^T A + D^T D = I.
-The layer computes the right-hand side, so no detail coefficient is ever
-formed. A grid that 2^L does not divide is symmetric-padded at its end
-and cropped after the inverse; both are folded into the cached
-(analysis, synthesis) pair of `wavelet.lowpass_pair`, per axis in 2D.
+W^T [(A v) R; D v] = v + A^T ((A v)(R - I)), since A^T A + D^T D = I,
+with R applied position by position. The layer computes the right-hand
+side, so no detail coefficient is ever formed. A grid that 2^L does not
+divide is symmetric-padded at its end and cropped after the inverse; both
+are folded into the cached (analysis, synthesis) pair of
+`wavelet.lowpass_pair`, per axis in 2D.
+
+The grid sets the depth: an axis of n points is decomposed to `depth(n)`,
+the largest L with n >= 4 * 2^L, which leaves an approximation block of
+`ceil(n / 2^L)`: 4 to 8 coefficients once n >= 8. A model accepts a grid
+when each axis is a dyadic refinement or coarsening of the training grid's,
+that is when n / 2^depth(n) equals the training axis' n0 / 2^depth(n0).
+Such a grid keeps the trained block, its R_p and the share of the domain
+that padding adds; this is what makes zero-shot resolution transfer work.
 
 The variable-spiking activation runs for a single time step: the membrane
 starts at zero, so it equals the layer's pre-activation, and a site fires
 where that reaches its learned threshold. A leak factor has no effect on
 one step, so the model has none.
-
-Evaluating a trained model on a dyadically refined (or coarsened) grid
-adjusts the decomposition depth so the approximation block keeps its
-trained shape; this is what makes zero-shot resolution transfer work.
 """
 
 from __future__ import annotations
@@ -58,14 +65,13 @@ class WnoConfig:
     grid: GridSpec
     width: int = 16
     layers: int = 3
-    levels: int = 3
     wavelet: str = "db6"
     activation: str = "gelu"
     proj_hidden: int = 128
     normalize: bool = False
 
     def __post_init__(self):
-        for key in ("width", "layers", "levels", "proj_hidden"):
+        for key in ("width", "layers", "proj_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key!r} must be >= 1, got {getattr(self, key)}")
         if self.activation not in ACTIVATIONS:
@@ -114,40 +120,6 @@ class WnoModel:
             float(np.std(targets)) or 1.0,
         )
 
-    # -- geometry ---------------------------------------------------------
-
-    def _effective_levels(self, shape: tuple[int, ...]) -> int:
-        """Decomposition depth for the given spatial shape.
-
-        The input grid must relate to the training grid by one dyadic
-        factor shared across dimensions; the depth shifts by its log2 so
-        the approximation block keeps the trained shape.
-        """
-        cfg = self.config
-        base = cfg.grid.resolution
-        if len(shape) != len(base):
-            raise GridError(f"expected {len(base)}D field, got shape {shape}")
-        ratios = set()
-        for n, n0 in zip(shape, base):
-            if n >= n0:
-                if n % n0:
-                    raise GridError(f"resolution {n} not a multiple of trained {n0}")
-                ratios.add(n // n0)
-            else:
-                if n0 % n:
-                    raise GridError(f"resolution {n} not a divisor of trained {n0}")
-                ratios.add(-(n0 // n))
-        if len(ratios) != 1:
-            raise GridError(f"anisotropic refinement {shape} of {base} unsupported")
-        r = ratios.pop()
-        j = int(math.log2(abs(r)))
-        if (1 << j) != abs(r):
-            raise GridError(f"refinement factor {abs(r)} is not a power of two")
-        eff = cfg.levels + (j if r > 0 else -j)
-        if eff < 1:
-            raise GridError(f"grid {shape} too coarse for {cfg.levels} levels")
-        return eff
-
     # -- forward ----------------------------------------------------------
 
     def forward_nodes(self, inputs: np.ndarray):
@@ -166,8 +138,12 @@ class WnoModel:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 1 + cfg.grid.dims:
             raise GridError(f"expected batched {cfg.grid.dims}D input, got {x.shape}")
-        spatial = x.shape[1:]
-        levels = self._effective_levels(spatial)
+        spatial, res = x.shape[1:], cfg.grid.resolution
+        # n / 2^depth(n) == n0 / 2^depth(n0) on each axis: a dyadic relative
+        if any(n << depth(n0) != n0 << depth(n) for n, n0 in zip(spatial, res)):
+            raise GridError(f"grid {spatial} (approximation blocks {blocks(spatial)}) is not "
+                            f"a dyadic refinement or coarsening of the model's training grid "
+                            f"{res} (blocks {blocks(res)})")
         batch = x.shape[0]
         n_pts = int(np.prod(spatial))
         coords = normalized_coordinates(GridSpec(spatial))
@@ -177,7 +153,7 @@ class WnoModel:
             [x.reshape(batch, n_pts, 1), np.broadcast_to(coords, (batch,) + coords.shape)],
             axis=2,
         )
-        pairs = [wv.lowpass_pair(cfg.wavelet, n, levels) for n in spatial]
+        pairs = [wv.lowpass_pair(cfg.wavelet, n, depth(n)) for n in spatial]
         v = ad.affine(ad.constant(feats), self.params["uplift.w"], self.params["uplift.b"])
         gates = []
         for i in range(cfg.layers):
@@ -235,6 +211,16 @@ class WnoModel:
         return (targets - self.norm.out_mean) / self.norm.out_std
 
 
+def depth(n: int) -> int:
+    """Wavelet depth of an axis of n points: the largest L with n >= 4 * 2^L, at least 1."""
+    return max(1, (n // 4).bit_length() - 1)
+
+
+def blocks(shape) -> tuple[int, ...]:
+    """Approximation block per axis, ceil(n / 2^depth(n))."""
+    return tuple(-(-n >> depth(n)) for n in shape)
+
+
 def _chunk_size(x: np.ndarray) -> int:
     """Samples per chunk of a (B, *grid) batch: max(1, CHUNK_POINTS // grid points)."""
     return max(1, CHUNK_POINTS // math.prod(x.shape[1:]))
@@ -254,9 +240,9 @@ def _parameter_layout(config: WnoConfig) -> dict:
     # the function value plus one coordinate channel per dimension
     layout = {"uplift.w": glorot(1 + config.grid.dims, width), "uplift.b": full(0.0, width)}
     r_scale = 1.0 / (width * width)
+    r_shape = (math.prod(blocks(config.grid.resolution)), width, width)
     for i in range(config.layers):
-        layout[f"layer{i}.r"] = ((width, width),
-                                 lambda gen: gen.uniform(0.0, r_scale, size=(width, width)))
+        layout[f"layer{i}.r"] = (r_shape, lambda gen: gen.uniform(0.0, r_scale, size=r_shape))
         layout[f"layer{i}.k"] = glorot(width, width)
         layout[f"layer{i}.b"] = full(0.0, width)
         if config.activation == "vsn":
@@ -271,7 +257,8 @@ def _parameter_layout(config: WnoConfig) -> dict:
 def _wavelet_kernel(v: ad.Node, r: ad.Node, pairs):
     """Wavelet part of a layer on (B, N, C): v + A^T ((A v)(r - I)).
 
-    pairs holds the (analysis, synthesis) pair of each grid axis.
+    pairs holds the (analysis, synthesis) pair of each grid axis; r holds
+    one (C, C) matrix per approximation position, row-major in 2D.
     """
     analyses, syntheses = zip(*pairs)
     if len(pairs) == 1:
@@ -378,7 +365,6 @@ def save_model(model: WnoModel, path):
             fh,
             cfg.width,
             cfg.layers,
-            cfg.levels,
             _WAVELET_IDS[cfg.wavelet],
             _ACTIVATION_IDS[cfg.activation],
             cfg.proj_hidden,
@@ -400,7 +386,7 @@ def load_model(path) -> WnoModel:
     raises FormatError naming it and the file."""
     with sio.reading(path) as fh:
         sio.check_magic(fh, sio.CHECKPOINT_MAGIC)
-        width, layers, levels, wid, aid, proj_hidden = sio.read_u32(fh, 6)
+        width, layers, wid, aid, proj_hidden = sio.read_u32(fh, 5)
         grid = sio.read_grid(fh)
         norm = NormStats(*sio.read_f64(fh, 4)) if sio.read_u32(fh) else None
         wavelet = sio.lookup_id(_WAVELET_NAMES, wid, "wavelet")
@@ -410,7 +396,6 @@ def load_model(path) -> WnoModel:
                 grid=grid,
                 width=width,
                 layers=layers,
-                levels=levels,
                 wavelet=wavelet,
                 activation=activation,
                 proj_hidden=proj_hidden,

@@ -27,7 +27,9 @@ from .core import GridError, GridSpec
 # OPCERT02: the model header dropped the spike-train length of OPCERT01
 # OPCERT03: the model header dropped the input channel count (always
 # 1 + dims) and the surrogate slope (now `autodiff.SURROGATE_SLOPE`)
-CHECKPOINT_MAGIC = b"OPCERT03"
+# OPCERT04: the model header dropped the wavelet depth (the grid sets it),
+# and each layer's r holds one (C, C) matrix per approximation position
+CHECKPOINT_MAGIC = b"OPCERT04"
 # OPDATA02: inputs and outputs are two stacked (n, *grid) arrays, not a
 # sample count followed by one (input, output) pair of arrays per sample
 DATASET_MAGIC = b"OPDATA02"

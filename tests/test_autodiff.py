@@ -180,7 +180,8 @@ class TestWaveletOps:
 
     def test_dwt_gradient_is_inverse_transform(self):
         # orthonormal adjoint rule: the upstream gradient flows through the
-        # packed inverse transform with every detail band zero
+        # packed inverse transform with every detail band zero, shifted
+        # back from the pair's row start
         x = ad.Parameter(np.random.default_rng(4).standard_normal((1, 64, 1)), "x")
         node = ad.dwt1d(x, wv.lowpass_pair("db4", 64, 2)[0])
         assert node.value.shape == (1, 16, 1)
@@ -188,7 +189,8 @@ class TestWaveletOps:
         ad.backward([node], [g])
         packed = np.zeros((1, 1, 64))
         packed[..., :16] = np.swapaxes(g, -1, -2)
-        expected = np.swapaxes(wo.idwt_packed(packed, "db4", 2), -1, -2)
+        expected = np.roll(np.swapaxes(wo.idwt_packed(packed, "db4", 2), -1, -2),
+                           wo.ROW_START["db4"], axis=1)
         assert np.max(np.abs(x.grad - expected)) < 1e-12
 
     @pytest.mark.parametrize("n,hw", [(64, None), (85, None), (None, (16, 12)), (None, (18, 13))])
@@ -223,7 +225,7 @@ class TestWaveletOps:
         # r = 1 leaves the approximation unchanged, so the layer is v itself
         a, s = wv.lowpass_pair("db6", 16, 2)
         v = ad.constant(np.random.default_rng(6).standard_normal((2, 16, 1)))
-        r = ad.Parameter(np.ones((1, 1)), "r")
+        r = ad.Parameter(np.ones((4, 1, 1)), "r")
         change = ad.wavelet_scale(ad.dwt1d(v, a), r)
         assert np.array_equal(change.value, np.zeros((2, 4, 1)))
         layer = ad.add(v, ad.idwt1d(change, s))
@@ -233,18 +235,29 @@ class TestWaveletOps:
         width = 3
         a, s = wv.lowpass_pair("db6", 16, 2)
         v = ad.constant(np.random.default_rng(7).standard_normal((2, 16, width)))
-        r = ad.Parameter(np.eye(width), "r")
+        r = ad.Parameter(np.tile(np.eye(width), (4, 1, 1)), "r")
         change = ad.wavelet_scale(ad.dwt1d(v, a), r)
         layer = ad.add(v, ad.idwt1d(change, s))
         assert np.allclose(layer.value, v.value)
 
     def test_wavelet_scale_gradients_match_fd(self):
+        # one distinct (3, 3) mix per position, over one or two leading axes
         gen = np.random.default_rng(12)
-        a = ad.Parameter(gen.standard_normal((2, 4, 3)), "a")
-        r = ad.Parameter(gen.standard_normal((3, 3)) * 0.4, "r")
+        for lead in ((2,), (2, 3)):
+            a = ad.Parameter(gen.standard_normal(lead + (4, 3)), "a")
+            r = ad.Parameter(gen.standard_normal((4, 3, 3)) * 0.4, "r")
+            errors = grad_check(lambda: ad.wavelet_scale(a, r), [a, r], eps=1e-5, samples=48)
+            assert set(errors) == {"a", "r"} and max(errors.values()) < 1e-6
 
-        errors = grad_check(lambda: ad.wavelet_scale(a, r), [a, r], eps=1e-5, samples=20)
-        assert max(errors.values()) < 1e-6
+    def test_wavelet_scale_mixes_each_position_by_its_own_matrix(self):
+        gen = np.random.default_rng(13)
+        a = gen.standard_normal((2, 4, 3))
+        r = gen.standard_normal((4, 3, 3))
+        got = ad.wavelet_scale(ad.constant(a), ad.constant(r)).value
+        want = [[a[b, p] @ r[p] - a[b, p] for p in range(4)] for b in range(2)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        with pytest.raises(ShapeError, match=r"\(3, 3\), expected \(4, 3, 3\)"):
+            ad.wavelet_scale(ad.constant(a), ad.constant(r[0]))
 
 
 class TestVsnOp:

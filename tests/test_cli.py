@@ -237,12 +237,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["z", "jitter"])
+@pytest.mark.parametrize("key", ["z", "jitter", "levels"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, key):
-    # nothing read these keys, so a config that sets them is rejected
-    cfg = write_config(tmp_path / "old.cfg", **TINY, **{key: 1.0})
+    # nothing read these keys (the grid sets the wavelet depth), so a
+    # config that sets them is rejected
+    cfg = write_config(tmp_path / "old.cfg", **TINY, **{key: 3})
     assert opcert("generate-data", "--config", cfg, "--out", tmp_path / "data") == 2
-    assert repr(key) in capsys.readouterr().err
+    assert f"unknown configuration key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -276,12 +277,13 @@ def test_spiking_report_on_continuous_model_exits_7(root, tmp_path):
 
 def test_old_checkpoint_format_exits_3(root, tmp_path, capsys):
     # the magic of each earlier layout (OPCERT02 stored the input channel
-    # count, the surrogate slope and a per-axis grid extent), then a stored
+    # count, the surrogate slope and a per-axis grid extent; OPCERT03 the
+    # wavelet depth and one (C, C) mix per layer), then a stored
     # name length that reads past the name (into float bytes that are not
     # UTF-8) or past the end of the file
     original = (root / "rp-wno" / "member_000.ckpt").read_bytes()
     field = original.index(struct.pack("<I", 8) + b"layer0.b")
-    corrupt = [magic + original[8:] for magic in (b"OPCERT01", b"OPCERT02")]
+    corrupt = [magic + original[8:] for magic in (b"OPCERT01", b"OPCERT02", b"OPCERT03")]
     corrupt += [original[:field] + struct.pack("<I", n) + original[field + 4:]
                 for n in (5000, len(original))]
     for case, data in enumerate(corrupt):
@@ -317,12 +319,12 @@ def test_checkpoint_parameter_off_its_layout_exits_3(root, tmp_path, capsys, nam
 @pytest.mark.parametrize("field", ["wavelet", "activation"])
 def test_unknown_model_id_exits_3(root, tmp_path, capsys, field):
     # the header's u32s after the magic and the version: width, layers,
-    # levels, then the wavelet and the activation ids
+    # then the wavelet and the activation ids
     ckpt = tmp_path / "ckpt"
     shutil.copytree(root / "rp-wno", ckpt)
     path = ckpt / "member_000.ckpt"
     raw = path.read_bytes()
-    at = 24 if field == "wavelet" else 28
+    at = 20 if field == "wavelet" else 24
     path.write_bytes(raw[:at] + struct.pack("<I", 99) + raw[at + 4:])
     assert opcert("calibrate", "--ckpt", ckpt, "--data", root / "data",
                   "--out", tmp_path / "q.qfield") == 3

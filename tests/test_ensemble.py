@@ -14,7 +14,7 @@ from opcert.core import GridSpec, SeededRng
 
 
 def tiny_config(**kwargs):
-    defaults = dict(grid=GridSpec((32,)), width=4, layers=2, levels=2, wavelet="db4")
+    defaults = dict(grid=GridSpec((32,)), width=4, layers=2, wavelet="db4")
     defaults.update(kwargs)
     return no.WnoConfig(**defaults)
 
@@ -298,7 +298,7 @@ class TestTwoCoreTraining:
         if not core._blas_thread_controls():
             pytest.skip("no OpenBLAS thread setter: members would train serially")
         x, y = self.data()
-        cfg = tiny_config(grid=GridSpec((1024,)), width=16, layers=2, levels=3,
+        cfg = tiny_config(grid=GridSpec((1024,)), width=16, layers=2,
                           wavelet="db6", activation=activation, normalize=True)
         on_main = []
         train = no.train

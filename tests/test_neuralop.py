@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -15,7 +16,7 @@ from test_autodiff import one_shot_gelu
 
 
 def small_config(**kwargs):
-    defaults = dict(grid=GridSpec((64,)), width=8, layers=2, levels=2, wavelet="db6")
+    defaults = dict(grid=GridSpec((64,)), width=8, layers=2, wavelet="db6")
     defaults.update(kwargs)
     return no.WnoConfig(**defaults)
 
@@ -50,12 +51,12 @@ class TestForward:
         # identity activations and identity wavelet weights collapse the
         # network to a per-point affine composition
         cfg = no.WnoConfig(
-            grid=GridSpec((16,)), width=4, layers=2, levels=2,
+            grid=GridSpec((16,)), width=4, layers=2,
             wavelet="db4", activation="identity", proj_hidden=5,
         )
         model = no.WnoModel.initialize(cfg, SeededRng(6))
         for i in range(cfg.layers):
-            model.params[f"layer{i}.r"].value[...] = np.eye(4)
+            model.params[f"layer{i}.r"].value[...] = np.eye(4)  # at every position
         x = SeededRng(7).generator().standard_normal((2, 16))
         got = model.predict(x)
         coords = np.linspace(0, 1, 16)[:, None]
@@ -70,16 +71,34 @@ class TestForward:
             assert np.max(np.abs(got[b] - out[:, 0])) < 1e-10
 
     def test_grid_mismatch_rejected(self):
+        # a 64-point model has a block of 4; 65 points give 5 and 96 give 6
         model = no.WnoModel.initialize(small_config(), SeededRng(8))
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match=r"blocks \(5,\).*blocks \(4,\)"):
             model.predict(np.zeros((1, 65)))
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match=r"blocks \(6,\).*blocks \(4,\)"):
             model.predict(np.zeros((1, 96)))  # 1.5x is not dyadic
+
+    @pytest.mark.parametrize("trained, got", [(85, 90), (85, 41), (34, 40), (34, 33)])
+    def test_same_block_without_a_dyadic_ratio_rejected(self, trained, got):
+        # both grids have the same block, but padding fills a different
+        # share of the domain, so each R_p would meet other physical points
+        assert no.blocks((trained,)) == no.blocks((got,))
+        model = no.WnoModel.initialize(small_config(grid=GridSpec((trained,))), SeededRng(8))
+        with pytest.raises(GridError, match="not a dyadic refinement"):
+            model.predict(np.zeros((1, got)))
+        assert model.predict(np.zeros((1, 2 * trained))).shape == (1, 2 * trained)
 
     def test_dyadic_refinement_accepted(self):
         model = no.WnoModel.initialize(small_config(), SeededRng(9))
-        assert model.predict(np.zeros((1, 128))).shape == (1, 128)
-        assert model.predict(np.zeros((1, 32))).shape == (1, 32)
+        for n in (32, 128, 256):
+            assert model.predict(np.zeros((1, n))).shape == (1, n)
+
+    def test_anisotropic_refinement_keeps_the_block(self):
+        # (64, 128) has the blocks (4, 4) of a (64, 64) model, so it is accepted
+        model = no.WnoModel.initialize(small_config(grid=GridSpec((64, 64))), SeededRng(9))
+        assert model.predict(np.zeros((1, 64, 128))).shape == (1, 64, 128)
+        with pytest.raises(GridError, match=r"blocks \(4, 6\)"):
+            model.predict(np.zeros((1, 64, 96)))
 
     def test_resolution_consistency_after_training(self):
         # refined-grid output restricted to the coarse grid stays within
@@ -98,26 +117,74 @@ class TestForward:
         assert drift < 10 * max(train_err, 1e-6)
 
 
+class TestDepth:
+    """The grid sets the wavelet depth: the largest L with n >= 4 * 2^L."""
+
+    @pytest.mark.parametrize("n, depth, block", [
+        (16, 2, 4), (32, 3, 4), (34, 3, 5), (68, 4, 5), (85, 4, 6), (128, 5, 4),
+        (170, 5, 6), (256, 6, 4), (1024, 8, 4), (8, 1, 4), (5, 1, 3), (2, 1, 1),
+    ])
+    def test_depth_table(self, n, depth, block):
+        assert no.depth(n) == depth and no.blocks((n,)) == (block,)
+
+    def test_layer_weights_per_position_of_the_training_block(self):
+        for spatial, positions in (((128,), 4), ((1024,), 4), ((32, 32), 16), ((85, 85), 36)):
+            model = no.WnoModel.initialize(no.WnoConfig(grid=GridSpec(spatial), width=3,
+                                                        layers=1), SeededRng(0))
+            assert model.params["layer0.r"].value.shape == (positions, 3, 3)
+
+
+class TestPerPositionMix:
+    """Each approximation position has its own channel mix."""
+
+    def test_learns_a_position_dependent_lowpass_weight(self):
+        # y = A^T (s * A u0) with s non-constant over the 4 positions of a
+        # 64-point grid. A shared mix r gives a linear model the fields
+        # u0, P u0 (P = A^T A) and fixed coordinate terms only; per
+        # position, one identity layer represents y exactly.
+        n, s = 64, np.array([2.0, 0.0, 1.0, -1.0])
+        a, _ = wv.lowpass_pair("db6", n, 4)
+        u0 = SeededRng(80).generator().standard_normal((50, n))
+        y = (u0 @ a.T * s) @ a
+        x = np.linspace(0.0, 1.0, n)
+        fields = [u0, u0 @ a.T @ a] + [np.broadcast_to(f, u0.shape) for f in
+                                       (np.ones(n), x, a.T @ (a @ x))]
+        basis = np.stack([f.ravel() for f in fields], axis=1)
+        fit = basis @ np.linalg.lstsq(basis, y.ravel(), rcond=None)[0]
+        floor = 100.0 * np.sum((fit - y.ravel()) ** 2) / np.sum(y**2)
+        cfg = no.WnoConfig(grid=GridSpec((n,)), width=4, layers=1, activation="identity",
+                           proj_hidden=4)
+        model = no.WnoModel.initialize(cfg, SeededRng(81))
+        no.train(model, u0, y, no.LossConfig("l2"), 100, 10, SeededRng(82), lr=1e-2)
+        nmse = 100.0 * np.sum((model.predict(u0) - y) ** 2) / np.sum(y**2)
+        assert floor > 50.0 and nmse < 1e-3, (floor, nmse)
+
+
 def cascade_layer(v, r, name, levels, spatial):
     """Wavelet part of a layer by the full packed cascade (oracle).
 
     Symmetric-pad each axis of v (B, prod(spatial), C) to a multiple of
-    2^levels, transform, mix the approximation block with r, invert, crop.
+    2^levels, shift it to the pair's row start, transform, mix each
+    approximation coefficient with its own (C, C) block of r, invert,
+    shift back, crop.
     """
     b, _, ch = v.shape
+    r = r.reshape(tuple(-(-s >> levels) for s in spatial) + (ch, ch))
     x = np.moveaxis(v.reshape((b,) + spatial + (ch,)), -1, 1)
     block = 1 << levels
     x = np.pad(x, [(0, 0), (0, 0)] + [(0, (-s) % block) for s in spatial], mode="symmetric")
+    axes = tuple(range(2, x.ndim))
+    x = np.roll(x, -wo.ROW_START[name], axis=axes)
     approx = (...,) + tuple(slice(0, s >> levels) for s in x.shape[2:])
     if len(spatial) == 1:
         c = wo.dwt_packed(x, name, levels)
-        c[approx] = np.einsum("bck,cd->bdk", c[approx], r)
+        c[approx] = np.einsum("bck,kcd->bdk", c[approx], r)
         y = wo.idwt_packed(c, name, levels)
     else:
         c = wo.dwt2d_packed(x, name, levels)
-        c[approx] = np.einsum("bchw,cd->bdhw", c[approx], r)
+        c[approx] = np.einsum("bchw,hwcd->bdhw", c[approx], r)
         y = wo.idwt2d_packed(c, name, levels)
-    y = y[(...,) + tuple(slice(0, s) for s in spatial)]
+    y = np.roll(y, wo.ROW_START[name], axis=axes)[(...,) + tuple(slice(0, s) for s in spatial)]
     return np.moveaxis(y, 1, -1).reshape(v.shape)
 
 
@@ -138,14 +205,14 @@ class TestWaveletKernel:
     def test_matches_packed_cascade(self, spatial, levels):
         gen = SeededRng(40).generator()
         v = gen.standard_normal((2, int(np.prod(spatial)), 4))
-        r = gen.standard_normal((4, 4))
+        r = gen.standard_normal((math.prod(-(-n >> levels) for n in spatial), 4, 4))
         pairs = [wv.lowpass_pair("db6", n, levels) for n in spatial]
         got = no._wavelet_kernel(ad.constant(v), ad.constant(r), pairs)
         want = cascade_layer(v, r, "db6", levels, spatial)
         assert np.max(np.abs(got.value - want)) < 1e-12
 
     def test_non_dyadic_2d_grid_trains_and_transfers(self):
-        cfg = no.WnoConfig(grid=GridSpec((34, 34)), width=4, layers=1, levels=2)
+        cfg = no.WnoConfig(grid=GridSpec((34, 34)), width=4, layers=1)
         model = no.WnoModel.initialize(cfg, SeededRng(41))
         x = SeededRng(42).generator().standard_normal((2, 34, 34))
         no.train(model, x, x, no.LossConfig("l2"), 1, 2, SeededRng(43))
@@ -580,8 +647,7 @@ class TestCheckpoint:
     def test_config_roundtrips(self, tmp_path, spatial):
         # normalize is stored as whether the checkpoint holds statistics
         for normalize in (False, True):
-            cfg = no.WnoConfig(grid=GridSpec(spatial), width=4, layers=1, levels=2,
-                               normalize=normalize)
+            cfg = no.WnoConfig(grid=GridSpec(spatial), width=4, layers=1, normalize=normalize)
             model = no.WnoModel.initialize(cfg, SeededRng(38))
             if normalize:
                 x = SeededRng(39).generator().standard_normal((2,) + spatial)

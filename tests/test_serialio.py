@@ -37,8 +37,8 @@ def write_dataset(path, monkeypatch):
 
 
 def tiny_model():
-    return no.WnoModel.initialize(no.WnoConfig(grid=GridSpec((16,)), width=4, layers=1,
-                                               levels=1), SeededRng(0))
+    return no.WnoModel.initialize(no.WnoConfig(grid=GridSpec((16,)), width=4, layers=1),
+                                  SeededRng(0))
 
 
 def save_model(path, monkeypatch):

@@ -1,8 +1,10 @@
 """Static checks over the opcert sources, with the standard library's ast.
 
-Every name a module imports is read in that module, and every public
+Every name a module imports is read in that module, every public
 function of `opcert.autodiff` is called from another module of the
-package: an op that only tests reach is surface to delete.
+package, and every `RunConfig` field is read as `run.<field>` in `cli`:
+an op that only tests reach, or a knob that no code reads, is surface to
+delete.
 """
 
 import ast
@@ -69,3 +71,15 @@ def test_every_public_autodiff_function_has_a_caller_in_src():
                            if name != "autodiff"))
     assert "backward" in public and "vsn" in public
     assert sorted(public - called) == []
+
+
+def test_every_run_config_field_is_read_in_cli():
+    cli = MODULES["cli"]
+    run_config = next(node for node in cli.body
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    keys = {node.target.id for node in run_config.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for node in ast.walk(cli)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "run"}
+    assert "seed" in keys and "experiment" in keys
+    assert sorted(keys - read) == []

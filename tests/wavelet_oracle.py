@@ -6,7 +6,8 @@ compute every band of the periodic orthonormal transform by the Mallat
 cascade, one dense single-level step matrix per level, and their inverses
 undo it. The package's operator
 layers only form the coarsest approximation (`wavelet.lowpass_pair`);
-the tests check that pair, and the layers built on it, against these.
+the tests check that pair, and the layers built on it, against these,
+on the signal circularly shifted by the pair's row start `ROW_START`.
 
 Layouts keep the spatial size and accept leading batch axes: 1D packs
 [a_m | d_m | ... | d_1]; 2D packs each level's quadrants into the
@@ -21,6 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from opcert.wavelet import LOWPASS_TAPS, DecompositionError
+
+# sample at which row 0 of `wavelet.lowpass_pair` starts: the rounded
+# centroid of each family's lowpass taps (5.99 for db4, 9.62 for db6)
+ROW_START = {"db4": 6, "db6": 10}
 
 
 @lru_cache(maxsize=None)

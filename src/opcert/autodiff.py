@@ -18,6 +18,16 @@ frees the input it read before the input gradient allocates an array of
 that size. A later backward that reaches a used node raises GraphError,
 since its gradients would stop there.
 
+Inference records nothing. Inside `no_graph()` every op returns a Node
+with no parents and no closures, and forms no array that only a backward
+reads: gelu keeps no cdf, `projection` runs each block's cdf through one
+(rows, H) buffer rather than an (N, H) array, and `vsn` forms no
+surrogate (nor, in hard mode, a logistic). The values are bitwise those
+of a recorded forward. A backward that reaches such a node raises
+GraphError, since its gradients would all be zero. The scope is
+thread-local: `core.member_map` may run one model's inference on one
+pool thread while another model trains on another.
+
 A node's own value stays until release() drops it. Forward code releases
 a node once its last consumer is built, so that a step holds only the
 arrays some closure reads, each for as long as that closure lives.
@@ -69,6 +79,8 @@ which is how spiking models are checked.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf, expit
@@ -85,15 +97,20 @@ class GraphError(ValueError):
 
 
 class Node:
-    """One value in the computation graph."""
+    """One value in the computation graph.
 
-    __slots__ = ("_value", "parents", "grad_fns", "_consumed")
+    recorded is False for an op's output built inside `no_graph`: it has
+    no parents and no closures, and a backward that reaches it raises.
+    """
 
-    def __init__(self, value, parents=(), grad_fns=()):
+    __slots__ = ("_value", "parents", "grad_fns", "_consumed", "recorded")
+
+    def __init__(self, value, parents=(), grad_fns=(), recorded=True):
         self._value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
         self.grad_fns = tuple(grad_fns)
         self._consumed = False
+        self.recorded = recorded
 
     @property
     def value(self) -> np.ndarray:
@@ -120,6 +137,35 @@ class Parameter(Node):
         self.grad[...] = 0.0
 
 
+class _Recording(threading.local):
+    on = True  # each thread starts recording
+
+
+_recording = _Recording()
+
+
+@contextmanager
+def no_graph():
+    """Within the block, this thread's ops record no graph.
+
+    Each op returns a Node that has no parents and no gradient closures,
+    and forms no array that only its backward reads. On exit the thread
+    is back in the state it found, also on a raise.
+    """
+    was, _recording.on = _recording.on, False
+    try:
+        yield
+    finally:
+        _recording.on = was
+
+
+def _node(value, parents, grad_fns) -> Node:
+    """An op's output; inside `no_graph` it keeps neither parents nor closures."""
+    if _recording.on:
+        return Node(value, parents, grad_fns)
+    return Node(value, recorded=False)
+
+
 def constant(value) -> Node:
     return Node(value)
 
@@ -141,7 +187,7 @@ def _check_same(a: Node, b: Node, op: str):
 
 def add(a: Node, b: Node) -> Node:
     _check_same(a, b, "add")
-    return Node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
 def _matmul(a: np.ndarray, m: np.ndarray, bias=None) -> np.ndarray:
@@ -161,7 +207,7 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         )
     out = _matmul(xv, wv_, bv)
     lead = tuple(range(xv.ndim - 1))
-    return Node(
+    return _node(
         out,
         (x, w, b),
         (
@@ -178,7 +224,7 @@ def conv1x1(x: Node, k: Node) -> Node:
     if xv.shape[-1] != kv.shape[0]:
         raise ShapeError(f"conv1x1: x {xv.shape} and kernel {kv.shape} incompatible")
     lead = tuple(range(xv.ndim - 1))
-    return Node(
+    return _node(
         _matmul(xv, kv),
         (x, k),
         (lambda g: _matmul(g, kv.T), lambda g: np.tensordot(xv, g, axes=(lead, lead))),
@@ -193,7 +239,7 @@ def layer_sum(a: Node, b: Node, bias: Node) -> Node:
     out = a.value + b.value
     out += bias.value
     lead = tuple(range(out.ndim - 1))
-    return Node(out, (a, b, bias), (lambda g: g, lambda g: g, lambda g: g.sum(axis=lead)))
+    return _node(out, (a, b, bias), (lambda g: g, lambda g: g, lambda g: g.sum(axis=lead)))
 
 
 # The gelu kernels apply, in place and in this order, the one-shot formulas
@@ -232,6 +278,13 @@ def _gelu_cdf_value(x: np.ndarray):
     return cdf, value
 
 
+def _gelu_value(x: np.ndarray) -> np.ndarray:
+    """x * cdf of the erf-based gelu, with the cdf formed in the value's array."""
+    value = np.empty(x.shape)
+    _cdf_value_kernel(x, value, value)
+    return value
+
+
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     """gelu'(x) * g, written over cdf and returned.
 
@@ -249,9 +302,11 @@ def gelu(x: Node) -> Node:
     """gelu; the derivative is formed only if the backward runs.
 
     The gradient closure writes over the cdf it keeps, so it runs once; a
-    second call raises GraphError.
+    second call raises GraphError. Inside `no_graph` no cdf is kept.
     """
     xv = x.value
+    if not _recording.on:
+        return Node(_gelu_value(xv), recorded=False)
     cdf, value = _gelu_cdf_value(xv)
 
     def grad(g):
@@ -276,7 +331,8 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     of affine -> gelu -> affine. Each block writes its own partial weight
     and bias gradients, summed in block order. The first closure to run
     forms all five gradients; each closure runs once, and a second call
-    raises GraphError.
+    raises GraphError. Inside `no_graph` each block's cdf goes to one
+    (rows, H) buffer instead.
     """
     xv, w1v, b1v, w2v, b2v = (n.value for n in (x, w1, b1, w2, b2))
     if w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1:] != w1v.shape[:1] or (
@@ -292,7 +348,9 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     step = min(rows, _PROJECTION_ROWS)
     blocks = [slice(lo, min(lo + step, end)) for end in range(rows, n + 1, max(rows, 1))
               for lo in range(end - rows, end, step)]
-    cdf, out = np.empty((n, hidden)), np.empty((n, w2v.shape[1]))
+    record = _recording.on
+    cdf = np.empty((n, hidden) if record else (step, hidden))
+    out = np.empty((n, w2v.shape[1]))
 
     def hidden_in(r, buf):
         """x @ w1 + b1 on rows r, into buf."""
@@ -303,9 +361,12 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     buf = np.empty((step, hidden))
     for r in blocks:
         h = hidden_in(r, buf)
-        _cdf_value_kernel(h, cdf[r], h)
+        _cdf_value_kernel(h, cdf[r] if record else cdf[: len(h)], h)
         np.matmul(h, w2v, out=out[r])
         out[r] += b2v
+    value = out.reshape(xv.shape[:-1] + out.shape[1:])
+    if not record:
+        return Node(value, recorded=False)
     grads = []
 
     def backward(g):
@@ -341,8 +402,7 @@ def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
 
         return fn
 
-    return Node(out.reshape(xv.shape[:-1] + out.shape[1:]), (x, w1, b1, w2, b2),
-                tuple(grad(k) for k in range(5)))
+    return Node(value, (x, w1, b1, w2, b2), tuple(grad(k) for k in range(5)))
 
 
 # --- wavelet-domain ops ----------------------------------------------------
@@ -365,7 +425,7 @@ def _lowpass(x: Node, mats) -> Node:
     if x.value.shape[-2] != math.prod(src):
         raise ShapeError(f"wavelet op: {x.value.shape} does not hold a {src} grid")
     back = [m.T for m in mats]
-    return Node(_separable(x.value, mats, src), (x,), (lambda g: _separable(g, back, dst),))
+    return _node(_separable(x.value, mats, src), (x,), (lambda g: _separable(g, back, dst),))
 
 
 def dwt1d(x: Node, analysis: np.ndarray) -> Node:
@@ -413,7 +473,7 @@ def wavelet_scale(a: Node, r: Node) -> Node:
         lead = (-1,) + shape[:2]
         return np.einsum("bpc,bpd->pcd", av.reshape(lead), g.reshape(lead))
 
-    return Node(np.einsum("...pc,pcd->...pd", av, rv) - av, (a, r), (back_a, back_r))
+    return _node(np.einsum("...pc,pcd->...pd", av, rv) - av, (a, r), (back_a, back_r))
 
 
 # --- spiking activation -----------------------------------------------------
@@ -427,15 +487,20 @@ def vsn(x: Node, threshold: Node, smooth: bool = False):
     (zero input stays zero). The surrogate gate is the logistic
     expit(SURROGATE_SLOPE * (x - threshold)). Returns (output, gate) nodes;
     the gate node carries the spike field for activity penalties and reporting.
+    Inside `no_graph` only the gate and the output are formed: no surrogate,
+    and in hard mode no logistic at all.
     """
     xv = x.value
     th = threshold.value
     if th.ndim != 1 or th.shape[0] != xv.shape[-1]:
         raise ShapeError(f"vsn: x {xv.shape}, threshold {th.shape} incompatible")
     membrane = xv
-    sig = expit(SURROGATE_SLOPE * (membrane - th))
-    surr = SURROGATE_SLOPE * sig * (1.0 - sig)
+    record = _recording.on
+    sig = expit(SURROGATE_SLOPE * (membrane - th)) if record or smooth else None
     gate = sig if smooth else (membrane >= th).astype(np.float64)
+    if not record:
+        return Node(_gelu_value(gate * xv), recorded=False), Node(gate, recorded=False)
+    surr = SURROGATE_SLOPE * sig * (1.0 - sig)
     cdf, act = _gelu_cdf_value(gate * xv)
     lead = tuple(range(xv.ndim - 1))
     formed = {}
@@ -480,6 +545,9 @@ def _topological(outputs):
             continue
         if id(node) in seen:
             continue
+        if not node.recorded:
+            raise GraphError("backward reached a node built without recording "
+                             "(inside autodiff.no_graph): it has no graph to differentiate")
         if node._consumed:
             raise GraphError("backward already ran through this graph")
         seen.add(id(node))
@@ -501,8 +569,9 @@ def backward(outputs, cotangents):
     Uses up the graph: every node it passes drops its parents and
     gradient closures, runs the closures last parent first and frees each
     once it has run. Its value stays unless it was released. A second
-    backward through any of them raises GraphError. Leaves (parameters,
-    constants) stay reusable.
+    backward through any of them raises GraphError, and so does one that
+    reaches a node built inside `no_graph`. Leaves (parameters, constants)
+    stay reusable.
     """
     outputs, cotangents = list(outputs), list(cotangents)
     if len(outputs) != len(cotangents):

@@ -14,7 +14,10 @@ on chunks of a few thousand grid points (`neuralop.train`), so a member's
 live graph does not grow with the batch. The darcy-32 train command (20
 samples, 4 members, 2 epochs) peaks at 81-82 MB with members pooled,
 against 110 MB for whole-batch steps one member at a time and 160-170 MB
-for whole-batch steps pooled.
+for whole-batch steps pooled. Inference records no graph
+(`neuralop.WnoModel.predict`), so on the bench workloads the calibrate,
+evaluate and superres commands peak at 61-65 MB, where a recording
+forward peaked at 75-81 MB, and training sets every command's maximum.
 """
 
 from __future__ import annotations

@@ -133,6 +133,8 @@ class WnoModel:
         skip-sum and 1x1-conv outputs, and an identity model's projection
         hidden value. gelu and vsn models run the projection as one
         `ad.projection`, which keeps only gelu's (B, N, proj_hidden) cdf.
+        Inference runs this same forward inside `ad.no_graph`
+        (`_forward_chunks`), where nothing is kept for a backward.
         """
         cfg = self.config
         x = np.asarray(inputs, dtype=np.float64)
@@ -179,24 +181,29 @@ class WnoModel:
     def _forward_chunks(self, inputs: np.ndarray, keep) -> list:
         """[keep(output node, gate nodes) for each chunk of the batch].
 
-        The forward runs on chunks of `_chunk_size` samples. keep must
-        return arrays, not nodes: each chunk's graph is then freed before
-        the next chunk's forward starts, so the live activations stay at a
-        few (chunk, grid, channels) arrays whatever the batch size.
-        Samples do not interact in the forward, so the chunks' results are
-        those of one forward over the whole batch.
+        The inference path: `forward_nodes` runs inside `ad.no_graph`, on
+        chunks of `_chunk_size` samples. Its nodes have no parents or
+        closures, and no op forms an array that only a backward reads
+        (gelu's and the head's (chunk, N, proj_hidden) cdf, vsn's
+        surrogate), so one chunk holds a few (chunk, N, width) arrays and
+        one block of the head. keep must return arrays, not nodes: each
+        chunk's nodes are then freed before the next chunk's forward
+        starts. Samples do not interact in the forward, so the chunks'
+        results are bitwise those of one recorded forward over the batch.
         """
         x = np.asarray(inputs, dtype=np.float64)
         step = _chunk_size(x)
         # an empty batch runs one empty chunk, so results keep their shapes
-        return [keep(*self.forward_nodes(x[start : start + step]))
-                for start in range(0, max(len(x), 1), step)]
+        with ad.no_graph():
+            return [keep(*self.forward_nodes(x[start : start + step]))
+                    for start in range(0, max(len(x), 1), step)]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Batched inference in physical units; inputs (B, *grid).
 
         Runs through `_forward_chunks`, so it equals one forward over the
-        whole batch while holding only one chunk's graph at a time.
+        whole batch while recording no graph and holding one chunk's
+        arrays at a time.
         """
         x = np.asarray(inputs, dtype=np.float64)
         y = np.concatenate(self._forward_chunks(x, lambda out, _: out.value[..., 0]))
@@ -282,7 +289,8 @@ def spiking_activity(model: WnoModel, inputs: np.ndarray) -> np.ndarray:
 
     100 x spikes / (neurons x samples) for each of the L spiking sites,
     evaluated at the model's current parameters. The forward runs through
-    `WnoModel._forward_chunks`; spikes are 0 or 1, so the per-chunk counts
+    `WnoModel._forward_chunks`, so it records no graph and forms only each
+    layer's gate and output; spikes are 0 or 1, so the per-chunk counts
     sum exactly and the result equals one forward over the whole dataset.
     """
     if model.config.activation != "vsn":

@@ -516,6 +516,95 @@ def lowpass_mats(shape, synthesis=False):
     return [s if synthesis else a for a, s in pairs], tuple(a.shape[0] for a, _ in pairs)
 
 
+def every_op(x):
+    """{name: node or nodes} of every op on a (2, 64, 4) field x."""
+    gen = np.random.default_rng(80)
+    w, b = ad.Parameter(gen.standard_normal((4, 4)), "w"), ad.Parameter(gen.standard_normal(4), "b")
+    th = ad.Parameter(gen.uniform(-0.5, 0.5, 4), "th")
+    (a,), _ = lowpass_mats((64,))
+    (s,), _ = lowpass_mats((64,), synthesis=True)
+    a2, _ = lowpass_mats((8, 8))
+    s2, _ = lowpass_mats((8, 8), synthesis=True)
+    coarse = ad.dwt1d(x, a)
+    head, _ = head_values((2, 64, 4), hidden=16, out=2)
+    return {
+        "add": ad.add(x, x), "affine": ad.affine(x, w, b), "conv1x1": ad.conv1x1(x, w),
+        "layer_sum": ad.layer_sum(x, x, b), "gelu": ad.gelu(x),
+        "projection": ad.projection(x, *(ad.Parameter(v, n) for v, n in
+                                         zip(head[1:], HEAD_NAMES[1:]))),
+        "dwt1d": coarse, "idwt1d": ad.idwt1d(coarse, s),
+        "wavelet_scale": ad.wavelet_scale(
+            coarse, ad.Parameter(gen.standard_normal(coarse.value.shape[1:] + (4,)), "r")),
+        "dwt2d": ad.dwt2d(x, a2), "idwt2d": ad.idwt2d(ad.dwt2d(x, a2), s2),
+        "vsn": ad.vsn(x, th), "vsn_smooth": ad.vsn(x, th, smooth=True),
+    }
+
+
+class TestNoGraph:
+    """Inside `no_graph` ops record nothing and give the recorded values."""
+
+    def test_every_op_unrecorded_and_bit_equal(self):
+        x = ad.constant(np.random.default_rng(81).standard_normal((2, 64, 4)) * 2.0)
+        recorded = every_op(x)
+        with ad.no_graph():
+            bare = every_op(x)
+        for name, nodes in bare.items():
+            pairs = zip(nodes, recorded[name]) if name.startswith("vsn") else [
+                (nodes, recorded[name])]
+            for node, want in pairs:
+                assert not node.recorded and node.parents == () and node.grad_fns == (), name
+                assert want.recorded and want.grad_fns, name
+                assert np.array_equal(node.value, want.value), name
+
+    def test_no_backward_only_arrays(self, monkeypatch):
+        # no separate cdf for gelu and vsn, and no logistic in hard-mode vsn
+        def unused(*args):
+            raise AssertionError("formed an array only a backward reads")
+
+        x = ad.constant(np.random.default_rng(82).standard_normal((3, 5)))
+        th = ad.constant(np.zeros(5))
+        monkeypatch.setattr(ad, "_gelu_cdf_value", unused)
+        monkeypatch.setattr(ad, "expit", unused)
+        with ad.no_graph():
+            ad.gelu(x)
+            out, gate = ad.vsn(x, th)
+        assert np.array_equal(gate.value, (x.value >= 0.0).astype(np.float64))
+
+    def test_backward_of_an_unrecorded_output_raises(self):
+        # it would otherwise leave every gradient at zero without a word
+        w, b = ad.Parameter(np.ones((3, 2)), "w"), ad.Parameter(np.zeros(2), "b")
+        x = ad.constant(np.ones((4, 3)))
+        with ad.no_graph():
+            out = ad.affine(x, w, b)
+        with pytest.raises(ad.GraphError, match="without recording"):
+            ad.backward([out], [np.ones((4, 2))])
+        with pytest.raises(ad.GraphError, match="without recording"):
+            ad.backward([ad.gelu(out)], [np.ones((4, 2))])  # recorded on top of it
+        assert not w.grad.any() and not b.grad.any()
+        ad.backward([ad.affine(x, w, b)], [np.ones((4, 2))])
+        assert np.array_equal(w.grad, np.full((3, 2), 4.0))
+
+    def test_scope_restores_what_it_found(self):
+        c = ad.constant(np.ones(3))
+
+        def recording():
+            return ad.add(c, c).recorded
+
+        with ad.no_graph():
+            with ad.no_graph():
+                assert not recording()
+            assert not recording()
+            with pytest.raises(RuntimeError):
+                with ad.no_graph():
+                    raise RuntimeError("inside")
+            assert not recording()
+        assert recording()
+        with pytest.raises(RuntimeError):
+            with ad.no_graph():
+                raise RuntimeError("inside")
+        assert recording()
+
+
 class TestBlasThreads:
     """Training pins OpenBLAS to one thread; the workloads' products must not move."""
 

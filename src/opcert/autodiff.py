@@ -6,7 +6,8 @@ seeds each output node with a cotangent of its shape, traverses the graph
 once in reverse topological order and accumulates the vector-Jacobian
 product into Parameter.grad. A loss needs no node of its own: the caller
 forms its gradient with respect to the outputs in closed form and passes
-that as the cotangents (`neuralop._loss`). Values are float64 ndarrays
+that as the cotangents (`neuralop._cotangents`). An output may be a
+Parameter, whose cotangent goes to its grad. Values are float64 ndarrays
 with an explicit batch-first layout where the ops say so; there is no
 implicit broadcasting between two nodes.
 
@@ -20,20 +21,19 @@ since its gradients would stop there.
 
 Inference records nothing. Inside `no_graph()` every op returns a Node
 with no parents and no closures, and forms no array that only a backward
-reads: gelu keeps no cdf, `projection` runs each block's cdf through one
-(rows, H) buffer rather than an (N, H) array, and `vsn` forms no
-surrogate (nor, in hard mode, a logistic). The values are bitwise those
-of a recorded forward. A backward that reaches such a node raises
-GraphError, since its gradients would all be zero. The scope is
-thread-local: `core.member_map` may run one model's inference on one
-pool thread while another model trains on another.
+reads: gelu keeps no cdf, and `vsn` forms no surrogate (nor, in hard
+mode, a logistic). The values are bitwise those of a recorded forward. A
+backward that reaches such a node raises GraphError, since its gradients
+would all be zero. The scope is thread-local: `core.member_map` may run
+one model's inference on one pool thread while another model trains on
+another.
 
 A node's own value stays until release() drops it. Forward code releases
 a node once its last consumer is built, so that a step holds only the
 arrays some closure reads, each for as long as that closure lives.
 Reading a released value raises GraphError; every other value stays
-readable after the backward (in the operator: the output and the spike
-gates). gelu's, projection's and vsn's closures write their gradients
+readable after the backward (in the operator: the last layer's output
+and the spike gates). gelu's and vsn's closures write their gradients
 over the cdf they keep, so each runs once, and a second call raises
 GraphError.
 
@@ -55,12 +55,19 @@ no exp and holds no derivative array. Its kernels work in place: the
 forward fills new cdf and x * cdf arrays, the backward writes
 g * (cdf + x * pdf) over cdf through a small per-block temporary. Each
 element goes through the same ufuncs in the same order as the one-shot
-formula, so the results are bitwise equal to it. `projection` fuses the
-operator's head, affine -> gelu -> affine, with the same kernels over
-blocks of rows: of its wide hidden arrays it keeps only the cdf, and its
-backward recomputes each block's gelu input from the narrow one. `vsn`
-runs gelu's kernels on gate * x, so it too forms its derivative in the
-backward, over the cdf it keeps.
+formula, so the results are bitwise equal to it. `vsn` runs gelu's
+kernels on gate * x, so it too forms its derivative in the backward,
+over the cdf it keeps.
+
+`projection`, the operator's head affine -> gelu -> affine, is no op of
+the graph. It returns arrays, and given a per-sample cotangent of its
+output it differentiates itself as it runs: it forwards one sample's
+rows in blocks with gelu's kernels, takes that sample's cotangent, and
+runs the sample's backward before the next sample's forward. Its
+gradients come back as (node, cotangent) seeds for `backward`. So it
+keeps one sample's (N, H) cdf at most, and inference one block's. This
+works because each loss gives a sample's output cotangent from that
+sample alone (`neuralop._cotangents`).
 
 Every op runs its kernels once over its whole arrays, on the calling
 thread; `core.member_map` runs whole models one per core. The weight
@@ -319,90 +326,82 @@ def gelu(x: Node) -> Node:
     return Node(value, (x,), (grad,))
 
 
-def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
-    """gelu(x @ w1 + b1) @ w2 + b2 for x (..., N, C), w1 (C, H), w2 (H, O).
+def projection(x: Node, w1: Node, b1: Node, w2: Node, b2: Node, cotangent=None,
+               gelu: bool = True):
+    """The operator's head gelu(x @ w1 + b1) @ w2 + b2 on x (..., N, C), w1 (C, H), w2 (H, O).
 
-    The op works over blocks of at most _PROJECTION_ROWS rows of one
-    sample, in order, and keeps only gelu's (rows, H) cdf for the
-    backward, which recomputes each block's x @ w1 + b1 and never erf.
-    Blocks never straddle samples and split one at multiples of
-    _PROJECTION_ROWS, so OpenBLAS groups each row as in `affine`'s
-    per-sample calls: the values and the input gradient are bitwise those
-    of affine -> gelu -> affine. Each block writes its own partial weight
-    and bias gradients, summed in block order. The first closure to run
-    forms all five gradients; each closure runs once, and a second call
-    raises GraphError. Inside `no_graph` each block's cdf goes to one
-    (rows, H) buffer instead.
+    Returns (out, seeds): the (..., N, O) output array and, when
+    cotangent is given, the head's gradients for x and the four weights
+    as the (node, cotangent) pairs that `backward` takes (an empty list
+    otherwise). Without gelu the head is affine -> affine.
+
+    The head is no node of the graph: it differentiates itself while it
+    runs. It goes one sample (N rows of x) at a time, over blocks of at
+    most _PROJECTION_ROWS rows. After sample i's forward, cotangent(i,
+    out_i) gives the gradient with respect to its (1, N, O) output out_i,
+    and the sample's backward runs at once. So the head keeps one
+    sample's (N, H) gelu cdf, and without cotangent one block's. The
+    backward recomputes each block's x @ w1 + b1 and never erf. Blocks
+    split a sample at multiples of _PROJECTION_ROWS, so OpenBLAS groups
+    each row as in `affine`'s per-sample calls: the values and the input
+    gradient are bitwise those of affine -> gelu -> affine. The weight and
+    bias gradients are one partial per block, summed in block order.
     """
     xv, w1v, b1v, w2v, b2v = (n.value for n in (x, w1, b1, w2, b2))
-    if w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1:] != w1v.shape[:1] or (
+    if xv.ndim < 2 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[-1:] != w1v.shape[:1] or (
             b1v.shape != w1v.shape[1:] or w2v.shape[0] != w1v.shape[1]
             or b2v.shape != w2v.shape[1:]):
         raise ShapeError(
             f"projection: x {xv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, w2 {w2v.shape}, "
             f"b2 {b2v.shape} incompatible"
         )
-    ch, hidden = w1v.shape
-    xr = xv.reshape(-1, ch)
-    n, rows = len(xr), xv.shape[-2] if xv.ndim > 1 else 1
+    hidden = w1v.shape[1]
+    xs = xv.reshape((-1,) + xv.shape[-2:])
+    rows = xs.shape[1]
     step = min(rows, _PROJECTION_ROWS)
-    blocks = [slice(lo, min(lo + step, end)) for end in range(rows, n + 1, max(rows, 1))
-              for lo in range(end - rows, end, step)]
-    record = _recording.on
-    cdf = np.empty((n, hidden) if record else (step, hidden))
-    out = np.empty((n, w2v.shape[1]))
+    blocks = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    train = cotangent is not None
+    out, hbuf = np.empty(xs.shape[:2] + w2v.shape[1:]), np.empty((step, hidden))
+    if gelu:
+        cdf = np.empty((rows if train else step, hidden))
+    if train:
+        dx, tbuf = np.empty(xs.shape), np.empty((step, hidden))
+        grads = [np.zeros(p.shape) for p in (w1v, b1v, w2v, b2v)]
 
-    def hidden_in(r, buf):
-        """x @ w1 + b1 on rows r, into buf."""
-        h = np.matmul(xr[r], w1v, out=buf[: r.stop - r.start])
+    def hidden_in(xi, r):
+        """x @ w1 + b1 on rows r of one sample, into hbuf."""
+        h = np.matmul(xi[r], w1v, out=hbuf[: r.stop - r.start])
         h += b1v
         return h
 
-    buf = np.empty((step, hidden))
-    for r in blocks:
-        h = hidden_in(r, buf)
-        _cdf_value_kernel(h, cdf[r] if record else cdf[: len(h)], h)
-        np.matmul(h, w2v, out=out[r])
-        out[r] += b2v
-    value = out.reshape(xv.shape[:-1] + out.shape[1:])
-    if not record:
-        return Node(value, recorded=False)
-    grads = []
-
-    def backward(g):
-        gr = np.reshape(g, (n, -1))
-        dx = np.empty(xr.shape)
-        parts = [np.empty((len(blocks),) + p.shape) for p in (w1v, b1v, w2v, b2v)]
-        hbuf, tbuf = np.empty((step, hidden)), np.empty((step, hidden))
-        for i, r in enumerate(blocks):
-            h, c = hidden_in(r, hbuf), cdf[r]
-            t = np.multiply(h, c, out=tbuf[: r.stop - r.start])  # gelu's value
-            np.matmul(t.T, gr[r], out=parts[2][i])
-            gr[r].sum(axis=0, out=parts[3][i])
-            _slope_kernel(h, c, t)
-            c *= np.matmul(gr[r], w2v.T, out=t)
-            np.matmul(c, w1v.T, out=dx[r])
-            np.matmul(xr[r].T, c, out=parts[0][i])
-            c.sum(axis=0, out=parts[1][i])
-        for p in parts:
-            for i in range(1, len(blocks)):
-                p[0] += p[i]
-        return [dx.reshape(xv.shape)] + [p[0] for p in parts]
-
-    def grad(k):
-        def fn(g):
-            nonlocal cdf
-            if cdf is not None:
-                grads.extend(backward(g))
-                cdf = None
-            if grads[k] is None:
-                raise GraphError(f"projection's gradient {k} was already taken")
-            taken, grads[k] = grads[k], None
-            return taken
-
-        return fn
-
-    return Node(value, (x, w1, b1, w2, b2), tuple(grad(k) for k in range(5)))
+    for i, xi in enumerate(xs):
+        for r in blocks:
+            h = hidden_in(xi, r)
+            if gelu:
+                _cdf_value_kernel(h, cdf[r] if train else cdf[: len(h)], h)
+            np.matmul(h, w2v, out=out[i, r])
+            out[i, r] += b2v
+        if not train:
+            continue
+        g = cotangent(i, out[i : i + 1])[0]
+        for r in blocks:
+            h = hidden_in(xi, r)
+            t = np.multiply(h, cdf[r], out=tbuf[: len(h)]) if gelu else h  # gelu's value
+            grads[2] += t.T @ g[r]
+            grads[3] += g[r].sum(axis=0)
+            if gelu:
+                c = cdf[r]
+                _slope_kernel(h, c, t)
+                c *= np.matmul(g[r], w2v.T, out=t)
+            else:
+                c = np.matmul(g[r], w2v.T, out=tbuf[: len(h)])
+            np.matmul(c, w1v.T, out=dx[i, r])
+            grads[0] += xi[r].T @ c
+            grads[1] += c.sum(axis=0)
+    value = out.reshape(xv.shape[:-1] + out.shape[-1:])
+    if not train:
+        return value, []
+    return value, list(zip((x, w1, b1, w2, b2), [dx.reshape(xv.shape)] + grads))
 
 
 # --- wavelet-domain ops ----------------------------------------------------

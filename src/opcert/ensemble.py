@@ -11,13 +11,16 @@ training one in isolation reproduces its in-ensemble parameters bitwise.
 Members train and predict one per core (`core.member_map`): `rp_train`
 and `rp_predict` map the members over the pool. Each training step runs
 on chunks of a few thousand grid points (`neuralop.train`), so a member's
-live graph does not grow with the batch. The darcy-32 train command (20
-samples, 4 members, 2 epochs) peaks at 81-82 MB with members pooled,
-against 110 MB for whole-batch steps one member at a time and 160-170 MB
-for whole-batch steps pooled. Inference records no graph
-(`neuralop.WnoModel.predict`), so on the bench workloads the calibrate,
-evaluate and superres commands peak at 61-65 MB, where a recording
-forward peaked at 75-81 MB, and training sets every command's maximum.
+live graph does not grow with the batch, and the head differentiates
+itself one sample at a time (`autodiff.projection`), so a chunk keeps no
+(chunk, N, proj_hidden) array. The darcy-32 train command (20 samples, 4
+members, 2 epochs) peaks at about 78 MB with members pooled, against
+82-83 MB when the head kept the chunk's gelu cdf, 110 MB for whole-batch
+steps one member at a time and 160-170 MB for whole-batch steps pooled.
+Inference records no graph (`neuralop.WnoModel.predict`), so on the bench
+workloads the calibrate, evaluate and superres commands peak at 61-64
+MB, where a recording forward peaked at 75-81 MB, and training sets
+every command's maximum.
 """
 
 from __future__ import annotations

@@ -122,19 +122,18 @@ class WnoModel:
 
     # -- forward ----------------------------------------------------------
 
-    def forward_nodes(self, inputs: np.ndarray):
-        """Differentiable forward of a batch.
+    def forward_nodes(self, inputs: np.ndarray, on_gate=None) -> ad.Node:
+        """Differentiable forward of a batch up to the head.
 
         inputs: (B, N) for 1D or (B, H, W) for 2D, in physical units.
-        Returns (output node (B, N, 1) in normalized units, spike gate
-        nodes per layer; empty for continuous activations). Interior
-        values that no gradient closure reads are released as soon as
-        their consumers are built (`ad.release`): each layer's synthesis,
-        skip-sum and 1x1-conv outputs, and an identity model's projection
-        hidden value. gelu and vsn models run the projection as one
-        `ad.projection`, which keeps only gelu's (B, N, proj_hidden) cdf.
-        Inference runs this same forward inside `ad.no_graph`
-        (`_forward_chunks`), where nothing is kept for a backward.
+        Returns the last layer's (B, N, width) output node, which `head`
+        projects. A vsn model passes each layer's spike gate node to
+        on_gate as it is formed, and drops it without one. Interior values
+        that no gradient closure reads are released as soon as their
+        consumers are built (`ad.release`): each layer's synthesis,
+        skip-sum and 1x1-conv outputs. Inference runs this same forward
+        inside `ad.no_graph` (`_forward_chunks`), where nothing is kept for
+        a backward.
         """
         cfg = self.config
         x = np.asarray(inputs, dtype=np.float64)
@@ -157,56 +156,60 @@ class WnoModel:
         )
         pairs = [wv.lowpass_pair(cfg.wavelet, n, depth(n)) for n in spatial]
         v = ad.affine(ad.constant(feats), self.params["uplift.w"], self.params["uplift.b"])
-        gates = []
         for i in range(cfg.layers):
             k = _wavelet_kernel(v, self.params[f"layer{i}.r"], pairs)
             w = ad.conv1x1(v, self.params[f"layer{i}.k"])
-            z = ad.layer_sum(k, w, self.params[f"layer{i}.b"])
+            v = ad.layer_sum(k, w, self.params[f"layer{i}.b"])
             ad.release(k, w)
             if cfg.activation == "gelu":
-                v = ad.gelu(z)
-            elif cfg.activation == "identity":
-                v = z
-            else:
-                v, gate = ad.vsn(z, self.params[f"layer{i}.th"])
-                gates.append(gate)
+                v = ad.gelu(v)
+            elif cfg.activation == "vsn":
+                v, gate = ad.vsn(v, self.params[f"layer{i}.th"])
+                if on_gate is not None:
+                    on_gate(gate)
+                del gate  # no gate outlives its layer here
+        return v
+
+    def head(self, features: ad.Node, cotangent=None):
+        """The projection of `forward_nodes`' output, through `ad.projection`.
+
+        Returns (out, seeds): the (B, N, 1) output array in normalized
+        units and, with cotangent, the backward's seeds for the features
+        and the four head weights. An identity model's head has no gelu.
+        """
         head = [self.params[name] for name in ("proj1.w", "proj1.b", "proj2.w", "proj2.b")]
-        if cfg.activation != "identity":
-            return ad.projection(v, *head), gates
-        h = ad.affine(v, *head[:2])
-        out = ad.affine(h, *head[2:])
-        ad.release(h)
-        return out, gates
+        return ad.projection(features, *head, cotangent=cotangent,
+                             gelu=self.config.activation != "identity")
 
-    def _forward_chunks(self, inputs: np.ndarray, keep) -> list:
-        """[keep(output node, gate nodes) for each chunk of the batch].
+    def _forward_chunks(self, inputs: np.ndarray, run) -> list:
+        """[run(chunk) for each chunk of the batch], inside `ad.no_graph`.
 
-        The inference path: `forward_nodes` runs inside `ad.no_graph`, on
-        chunks of `_chunk_size` samples. Its nodes have no parents or
-        closures, and no op forms an array that only a backward reads
-        (gelu's and the head's (chunk, N, proj_hidden) cdf, vsn's
-        surrogate), so one chunk holds a few (chunk, N, width) arrays and
-        one block of the head. keep must return arrays, not nodes: each
-        chunk's nodes are then freed before the next chunk's forward
-        starts. Samples do not interact in the forward, so the chunks'
-        results are bitwise those of one recorded forward over the batch.
+        The inference path: chunks hold `_chunk_size` samples, and run
+        calls `forward_nodes` (and `head`) on its chunk. Their nodes have
+        no parents or closures, and no op forms an array that only a
+        backward reads (gelu's cdf, vsn's surrogate), so one chunk holds a
+        few (chunk, N, width) arrays and one block of the head. run must
+        return arrays, not nodes: each chunk's nodes are then freed before
+        the next chunk's forward starts. Samples do not interact in the
+        forward, so the chunks' results are bitwise those of one forward
+        over the batch.
         """
         x = np.asarray(inputs, dtype=np.float64)
         step = _chunk_size(x)
         # an empty batch runs one empty chunk, so results keep their shapes
         with ad.no_graph():
-            return [keep(*self.forward_nodes(x[start : start + step]))
-                    for start in range(0, max(len(x), 1), step)]
+            return [run(x[start : start + step]) for start in range(0, max(len(x), 1), step)]
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Batched inference in physical units; inputs (B, *grid).
 
         Runs through `_forward_chunks`, so it equals one forward over the
         whole batch while recording no graph and holding one chunk's
-        arrays at a time.
+        arrays at a time. No spike gate outlives its layer.
         """
         x = np.asarray(inputs, dtype=np.float64)
-        y = np.concatenate(self._forward_chunks(x, lambda out, _: out.value[..., 0]))
+        y = np.concatenate(self._forward_chunks(
+            x, lambda chunk: self.head(self.forward_nodes(chunk))[0][..., 0]))
         y = y.reshape(x.shape)
         if self.norm is not None:
             y = y * self.norm.out_std + self.norm.out_mean
@@ -288,15 +291,22 @@ def spiking_activity(model: WnoModel, inputs: np.ndarray) -> np.ndarray:
     """Percent of emitted spikes per activation site over a dataset.
 
     100 x spikes / (neurons x samples) for each of the L spiking sites,
-    evaluated at the model's current parameters. The forward runs through
-    `WnoModel._forward_chunks`, so it records no graph and forms only each
-    layer's gate and output; spikes are 0 or 1, so the per-chunk counts
-    sum exactly and the result equals one forward over the whole dataset.
+    evaluated at the model's current parameters. The layers run through
+    `WnoModel._forward_chunks`, so they record no graph, and the head does
+    not run: each gate is summed as it is formed. Spikes are 0 or 1, so the
+    per-chunk counts sum exactly and the result equals one forward over
+    the whole dataset.
     """
     if model.config.activation != "vsn":
         raise NonSpikingModelError("model has no spiking activation sites")
     x = np.asarray(inputs, dtype=np.float64)
-    counts = model._forward_chunks(x, lambda _, gates: [g.value.sum() for g in gates])
+
+    def gate_sums(chunk):
+        sums = []
+        model.forward_nodes(chunk, lambda gate: sums.append(gate.value.sum()))
+        return sums
+
+    counts = model._forward_chunks(x, gate_sums)
     return 100.0 * (np.sum(counts, axis=0) / (x.size * model.config.width))
 
 
@@ -321,37 +331,70 @@ class LossConfig:
             raise ValueError("loss weights must be non-negative")
 
 
-def _loss(pred: ad.Node, gates, target: np.ndarray, cfg: LossConfig, share: float):
-    """A chunk's loss times its share of the batch, and the backward's seeds.
+def _pinball_terms(pred: np.ndarray, target: np.ndarray, eta: float, batch: int):
+    """(d, ||d_b||, w_b) of k samples' predictions (k, N, 1) against their targets.
 
-    Returns (value, seeds): seeds pairs the prediction node, and for slf
-    each spike gate node, with the value's gradient with respect to it,
-    the (node, cotangent) pairs that `ad.backward` takes.
+    d = pred - target, and w_b = eta where ||target_b|| >= ||pred_b||, 1 - eta
+    otherwise, over the chunk's sample count. Every norm reduces along
+    axis 1, so one sample's terms are bitwise its terms in the chunk.
     """
-    p = pred.value
-    d = p - target.reshape(p.shape)
+    d = pred - target.reshape(pred.shape)
+    k = pred.shape[0]
+    norms = np.sqrt((d * d).sum(axis=tuple(range(1, d.ndim))))
+    t_norms = np.linalg.norm(target.reshape(k, -1), axis=1)
+    p_norms = np.linalg.norm(pred.reshape(k, -1), axis=1)
+    return d, norms, np.where(t_norms >= p_norms, eta, 1.0 - eta) / batch
+
+
+def _loss(pred: np.ndarray, gates, target: np.ndarray, cfg: LossConfig, share: float):
+    """A chunk's loss times its share of the batch, and the spike gates' seeds.
+
+    pred is the chunk's (B, N, 1) prediction array. Returns (value, seeds):
+    for slf, seeds pairs each spike gate node with the value's gradient
+    with respect to it, the (node, cotangent) pairs that `ad.backward`
+    takes; other losses read no gate and have none. The gradient with
+    respect to pred comes a sample at a time from `_cotangents`.
+    """
     if cfg.kind == "pinball":
-        # sum_b w_b ||d_b||, whose gradient w_b d_b / ||d_b|| stays finite at d_b = 0
-        b = p.shape[0]
-        norms = np.sqrt((d * d).sum(axis=tuple(range(1, d.ndim))))
-        t_norms = np.linalg.norm(target.reshape(b, -1), axis=1)
-        p_norms = np.linalg.norm(p.reshape(b, -1), axis=1)
-        weights = np.where(t_norms >= p_norms, cfg.eta, 1.0 - cfg.eta) / b
-        per_sample = share * weights / (2.0 * np.maximum(norms, 1e-150))
-        g = per_sample.reshape((b,) + (1,) * (d.ndim - 1)) * d
-        return np.dot(norms, weights) * share, [(pred, g + g)]
-    mse = np.mean(d * d)  # its gradient is 2 d / d.size
+        # sum_b w_b ||d_b||
+        _, norms, weights = _pinball_terms(pred, target, cfg.eta, len(pred))
+        return np.dot(norms, weights) * share, []
+    d = pred - target.reshape(pred.shape)
+    mse = np.mean(d * d)
     if cfg.kind == "l2":
-        g = share / d.size * d
-        return mse * share, [(pred, g + g)]
+        return mse * share, []
     if not gates:
         raise NonSpikingModelError("slf loss requires spiking activation sites")
     count = sum(gate.value.size for gate in gates)
     rate = sum(np.sum(gate.value) for gate in gates) * (1.0 / count)
-    g = share * cfg.alpha_w / d.size * d
     rate_g = share * cfg.beta_w * (1.0 / count)
-    seeds = [(pred, g + g)] + [(gate, np.full(gate.value.shape, rate_g)) for gate in gates]
+    seeds = [(gate, np.full(gate.value.shape, rate_g)) for gate in gates]
     return (mse * cfg.alpha_w + rate * cfg.beta_w) * share, seeds
+
+
+def _cotangents(target: np.ndarray, cfg: LossConfig, share: float):
+    """cotangent(i, p): `_loss`'s gradient with respect to sample i's prediction p.
+
+    target holds the chunk's (B, *grid) targets and p is the (1, N, 1)
+    prediction of sample i. Each loss gives a sample's cotangent from
+    that sample alone: l2 and slf elementwise, as 2 d / d.size over the
+    chunk's d, and pinball through the sample's own norms. This is what
+    lets `ad.projection` run the head's backward sample by sample.
+    """
+    batch = len(target)
+    weight = cfg.alpha_w if cfg.kind == "slf" else 1.0
+
+    def cotangent(i, p):
+        if cfg.kind == "pinball":
+            # w_b d_b / ||d_b||, kept finite at d_b = 0
+            d, norms, weights = _pinball_terms(p, target[i : i + 1], cfg.eta, batch)
+            per_sample = share * weights / (2.0 * np.maximum(norms, 1e-150))
+            g = per_sample[:, None, None] * d
+        else:
+            g = share * weight / target.size * (p - target[i : i + 1].reshape(p.shape))
+        return g + g
+
+    return cotangent
 
 
 # --------------------------------------------------------------------------
@@ -485,18 +528,19 @@ def train(
     Each step runs its forward and backward on chunks of `_chunk_size`
     samples of the mini-batch, as `predict` does, and `ad.backward`
     accumulates every chunk's gradients into `Parameter.grad` before the
-    Adam step. The loss needs no graph: `_loss` forms its value and its
-    gradients with respect to the prediction (and the spike gates) in
-    closed form, and the backward starts from those cotangents. Every
-    loss is a per-sample mean, so `_loss` scales each chunk's value and
-    cotangents by the chunk's share of the batch: the summed gradients
-    and the logged loss are the batch's, up to the order of the sums (a
-    batch of one chunk keeps every bit). `ad.backward` frees a chunk's
-    graph as it goes, so one chunk's graph is live at a time, and a
-    step's peak does not grow with the batch. Within a chunk,
-    `forward_nodes` keeps only what the backward reads, and the
-    projection (`ad.projection`) keeps one (chunk, N, proj_hidden) array,
-    gelu's cdf.
+    Adam step. The loss and the head need no graph: `_cotangents` gives
+    the loss's gradient for each sample's prediction from that sample
+    alone, so the head (`ad.projection`) differentiates itself while it
+    runs, one sample at a time, and keeps one sample's (N, proj_hidden)
+    gelu cdf. The backward starts from the head's cotangents for the last
+    layer's output and the head weights, plus, for slf, `_loss`'s for the
+    spike gates. Every loss is a per-sample mean, so each chunk's value
+    and cotangents are scaled by the chunk's share of the batch: the
+    summed gradients and the logged loss are the batch's, up to the order
+    of the sums (a batch of one chunk keeps every bit). `ad.backward`
+    frees a chunk's graph as it goes, so one chunk's graph is live at a
+    time, and a step's peak does not grow with the batch. Within a chunk,
+    `forward_nodes` keeps only what the backward reads: width-sized arrays.
 
     The model trains on the calling thread; ensembles and the quantile
     pair train one model per core through `core.member_map`. Every
@@ -523,14 +567,16 @@ def train(
                 model.zero_grads()
                 val = 0.0
                 for part in (idx[c : c + step] for c in range(0, len(idx), step)):
-                    pred, gates = model.forward_nodes(inputs[part])
-                    loss, seeds = _loss(pred, gates, y_norm[part], loss_config,
-                                        len(part) / len(idx))
+                    target, share = y_norm[part], len(part) / len(idx)
+                    gates = []
+                    features = model.forward_nodes(inputs[part], gates.append)
+                    pred, seeds = model.head(features, _cotangents(target, loss_config, share))
+                    loss, gate_seeds = _loss(pred, gates, target, loss_config, share)
                     if not np.isfinite(loss):
                         raise TrainingDiverged(
                             f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
                         )
-                    ad.backward(*zip(*seeds))
+                    ad.backward(*zip(*seeds, *gate_seeds))
                     val += float(loss)
                 adam_step(model.parameters(), state, lr=lr)
                 total += val * len(idx)

@@ -407,12 +407,13 @@ class TestInPlaceKernels:
 HEAD_NAMES = ("x", "w1", "b1", "w2", "b2")
 
 
-def unfused_head(x, w1, b1, w2, b2):
-    return ad.affine(ad.gelu(ad.affine(x, w1, b1)), w2, b2)
+def unfused_head(x, w1, b1, w2, b2, gelu=True):
+    h = ad.affine(x, w1, b1)
+    return ad.affine(ad.gelu(h) if gelu else h, w2, b2)
 
 
 def head_values(shape, hidden=128, out=1, seed=70):
-    """Values for x, w1, b1, w2, b2 and an output weight g."""
+    """Values for x, w1, b1, w2, b2 and a target of the output's shape."""
     gen = np.random.default_rng(seed)
     ch = shape[-1]
     values = [gen.standard_normal(shape) * 2.0, gen.standard_normal((ch, hidden)) * 0.5,
@@ -421,12 +422,56 @@ def head_values(shape, hidden=128, out=1, seed=70):
     return values, gen.standard_normal(shape[:-1] + (out,))
 
 
-def head_results(op, values, g):
-    """op's value and the five gradients of sum(op(...) * g)."""
+def by_sample(g):
+    """cotangent(i, out_i) of the head that hands out sample i's rows of g."""
+    rows = g.reshape((-1,) + g.shape[-2:])
+    return lambda i, out_i: rows[i : i + 1]
+
+
+def head_node(params, **kw):
+    """`ad.projection` as one graph node, for grad_check's backward.
+
+    Its closures run the head again with the backward's cotangent and
+    hand each parameter its seed.
+    """
+    value, _ = ad.projection(*params, **kw)
+    seeds = []
+
+    def seed(k):
+        def fn(g):
+            if not seeds:
+                seeds.extend(c for _, c in ad.projection(*params, cotangent=by_sample(g),
+                                                         **kw)[1])
+            return seeds[k]
+
+        return fn
+
+    return ad.Node(value, params, [seed(k) for k in range(5)])
+
+
+def l2_cotangent(out, target, size):
+    """The gradient of sum((out - target)^2) / size, as `neuralop._cotangents` forms it."""
+    g = 1.0 / size * (out - target)
+    return g + g
+
+
+def head_results(values, target, fused, gelu=True):
+    """The head's value and the five gradients of its l2 loss against target.
+
+    fused runs `ad.projection` with a per-sample cotangent and passes its
+    seeds to `ad.backward`; otherwise affine -> gelu -> affine is
+    differentiated through `ad.backward`.
+    """
     params = [ad.Parameter(v.copy(), name) for v, name in zip(values, HEAD_NAMES)]
-    out = op(*params)
-    value = out.value.copy()
-    ad.backward([out], [g])
+    if fused:
+        rows = target.reshape((-1,) + target.shape[-2:])
+        value, seeds = ad.projection(
+            *params, gelu=gelu, cotangent=lambda i, p: l2_cotangent(p, rows[i : i + 1], target.size))
+        ad.backward(*zip(*seeds))
+    else:
+        out = unfused_head(*params, gelu=gelu)
+        value = out.value.copy()
+        ad.backward([out], [l2_cotangent(value, target, target.size)])
     return [value] + [p.grad for p in params]
 
 
@@ -440,36 +485,54 @@ class TestProjection:
     def test_matches_fd(self, monkeypatch, shape, rows):
         if rows is not None:
             monkeypatch.setattr(ad, "_PROJECTION_ROWS", rows)
-        values, g = head_values(shape, hidden=6, out=2)
+        values, _ = head_values(shape, hidden=6, out=2)
         params = [ad.Parameter(v, name) for v, name in zip(values, HEAD_NAMES)]
 
-        errors = grad_check(lambda: ad.projection(*params), params, eps=1e-5, samples=20)
+        errors = grad_check(lambda: head_node(params), params, eps=1e-5, samples=20)
         assert set(errors) == set(HEAD_NAMES) and max(errors.values()) < 1e-6
 
     @pytest.mark.parametrize("shape, hidden, out", [
         ((3, 1024, 16), 128, 1), ((4, 85, 16), 128, 1), ((2, 32 * 32, 16), 128, 1),
         ((5, 77, 5), 13, 3), ((1, 600, 16), 128, 1), ((9, 16), 7, 1),
     ])
-    def test_matches_unfused_chain(self, shape, hidden, out):
+    def test_matches_unfused_chain(self, shape, hidden, out, gelu=True):
         # value and input gradient bit for bit; the weight and bias
         # gradients are summed per block, so only their order differs
-        values, g = head_values(shape, hidden, out)
-        fused = head_results(ad.projection, values, g)
-        plain = head_results(unfused_head, values, g)
+        values, target = head_values(shape, hidden, out)
+        fused = head_results(values, target, True, gelu)
+        plain = head_results(values, target, False, gelu)
         for a, b in zip(fused[:2], plain[:2]):
             assert a.shape == b.shape and np.array_equal(a, b)
         for a, b in zip(fused[2:], plain[2:]):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
-    def test_gradients_form_once(self):
-        values, g = head_values((2, 8, 3), hidden=4)
-        node = ad.projection(*(ad.constant(v) for v in values))
-        grads = [fn(g) for fn in reversed(node.grad_fns)]
-        assert [a.shape for a in grads] == [v.shape for v in reversed(values)]
-        for fn in node.grad_fns:
-            with pytest.raises(ad.GraphError):
-                fn(g)
+    @pytest.mark.parametrize("shape, hidden, out", [
+        ((3, 1024, 16), 128, 1), ((5, 77, 5), 13, 3), ((9, 16), 7, 1),
+    ])
+    def test_without_gelu_matches_affine_chain(self, shape, hidden, out):
+        # an identity model's head
+        self.test_matches_unfused_chain(shape, hidden, out, gelu=False)
+
+    def test_takes_each_sample_cotangent_once_in_order(self, monkeypatch):
+        # each sample's backward runs right after its forward, from its own
+        # (1, N, O) output, so the head holds one sample's rows at a time
+        monkeypatch.setattr(ad, "_PROJECTION_ROWS", 3)
+        values, g = head_values((3, 8, 4), hidden=5, out=2)
+        want, _ = ad.projection(*(ad.constant(v) for v in values))
+        seen = []
+
+        def cotangent(i, out_i):
+            seen.append((i, out_i.copy()))
+            return g[i : i + 1]
+
+        params = [ad.constant(v) for v in values]
+        value, seeds = ad.projection(*params, cotangent=cotangent)
+        assert [i for i, _ in seen] == [0, 1, 2]
+        assert all(np.array_equal(out_i, want[i : i + 1]) for i, out_i in seen)
+        assert np.array_equal(value, want)
+        assert [node for node, _ in seeds] == params
+        assert [c.shape for _, c in seeds] == [v.shape for v in values]
 
     def test_shape_checks(self):
         values, _ = head_values((2, 8, 3), hidden=4, out=2)
@@ -526,12 +589,9 @@ def every_op(x):
     a2, _ = lowpass_mats((8, 8))
     s2, _ = lowpass_mats((8, 8), synthesis=True)
     coarse = ad.dwt1d(x, a)
-    head, _ = head_values((2, 64, 4), hidden=16, out=2)
     return {
         "add": ad.add(x, x), "affine": ad.affine(x, w, b), "conv1x1": ad.conv1x1(x, w),
         "layer_sum": ad.layer_sum(x, x, b), "gelu": ad.gelu(x),
-        "projection": ad.projection(x, *(ad.Parameter(v, n) for v, n in
-                                         zip(head[1:], HEAD_NAMES[1:]))),
         "dwt1d": coarse, "idwt1d": ad.idwt1d(coarse, s),
         "wavelet_scale": ad.wavelet_scale(
             coarse, ad.Parameter(gen.standard_normal(coarse.value.shape[1:] + (4,)), "r")),

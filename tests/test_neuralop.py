@@ -277,11 +277,24 @@ class TestSpikingActivity:
         model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(17))
         x = SeededRng(18).generator().standard_normal((5, 64))
         reported = no.spiking_activity(model, x)
-        _, gates = model.forward_nodes(x)
+        gates = []
+        model.forward_nodes(x, gates.append)
         recounted = [
             100.0 * np.count_nonzero(g.value) / g.value.size for g in gates
         ]
         assert np.allclose(reported, recounted, atol=1e-12)
+
+    def test_runs_no_head(self, monkeypatch):
+        # the rates need each layer's gate sums only, and do not move
+        model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(17))
+        x = SeededRng(18).generator().standard_normal((5, 64))
+        want = no.spiking_activity(model, x)
+
+        def no_head(*args, **kwargs):
+            raise AssertionError("spiking_activity ran the head")
+
+        monkeypatch.setattr(ad, "projection", no_head)
+        assert np.array_equal(no.spiking_activity(model, x), want)
 
     def test_rejects_non_spiking(self):
         model = no.WnoModel.initialize(small_config(), SeededRng(19))
@@ -297,13 +310,19 @@ def pinball_oracle(pred, truth, eta):
 
 def pinball_loss(pred, truth, eta):
     """The training loss of (B, n) predictions: the batch mean of the per-sample loss."""
-    return no._loss(ad.constant(pred[..., None]), [], truth, no.LossConfig("pinball", eta), 1.0)[0]
+    return no._loss(pred[..., None], [], truth, no.LossConfig("pinball", eta), 1.0)[0]
 
 
 def loss_node(pred, gates, target, cfg, share):
-    """`no._loss` as a scalar node whose gradient closures return its seeds."""
-    value, seeds = no._loss(pred, gates, target, cfg, share)
-    nodes, cotangents = zip(*seeds)
+    """`no._loss` as a scalar node whose gradient closures return its cotangents.
+
+    pred's cotangent stacks `no._cotangents`' per-sample ones; the gates'
+    are `no._loss`'s seeds.
+    """
+    value, seeds = no._loss(pred.value, gates, target, cfg, share)
+    cotangent = no._cotangents(target, cfg, share)
+    pred_g = np.concatenate([cotangent(i, pred.value[i : i + 1]) for i in range(len(target))])
+    nodes, cotangents = zip((pred, pred_g), *seeds)
     return ad.Node(value, nodes, [lambda g, c=c: g * c for c in cotangents])
 
 
@@ -322,7 +341,8 @@ class TestLosses:
         above = np.linalg.norm(target, axis=1) >= np.linalg.norm(pred.value[..., 0], axis=1)
         assert above.any() and not above.all()
         params = [pred] + (gates if cfg.kind == "slf" else [])
-        assert [node for node, _ in no._loss(pred, gates, target, cfg, 0.375)[1]] == params
+        assert [node for node, _ in no._loss(pred.value, gates, target, cfg, 0.375)[1]] == (
+            params[1:])
         errors = grad_check(lambda: loss_node(pred, gates, target, cfg, 0.375), params,
                             samples=96)
         assert set(errors) == {p.name for p in params} and max(errors.values()) < 1e-6
@@ -351,10 +371,10 @@ class TestLosses:
     def test_slf_reduces_to_base(self):
         # the training objective: alpha * mse + beta * mean spike rate
         gen = SeededRng(38).generator()
-        pred = ad.constant(gen.standard_normal((2, 8, 1)))
+        pred = gen.standard_normal((2, 8, 1))
         target = gen.standard_normal((2, 8))
         gate = ad.constant((gen.standard_normal((2, 8, 3)) > 0).astype(np.float64))
-        mse = float(np.mean((pred.value[..., 0] - target) ** 2))
+        mse = float(np.mean((pred[..., 0] - target) ** 2))
         rate = float(np.mean(gate.value))
         base, _ = no._loss(pred, [gate], target, no.LossConfig("slf", alpha_w=1.0), 1.0)
         assert base == pytest.approx(mse, rel=1e-12)
@@ -364,7 +384,7 @@ class TestLosses:
         assert mixed == pytest.approx(0.25 * (2.0 * mse + 0.5 * rate), rel=1e-12)
 
     def test_l2_is_mse(self):
-        pred = ad.constant(np.zeros((1, 4, 1)))
+        pred = np.zeros((1, 4, 1))
         loss, _ = no._loss(pred, [], np.full((1, 4), 2.0), no.LossConfig("l2"), 1.0)
         assert loss == pytest.approx(4.0)
 
@@ -497,9 +517,9 @@ class TestChunkedStep:
         sizes = []
         forward = no.WnoModel.forward_nodes
 
-        def counted(self, inputs):
+        def counted(self, inputs, *args):
             sizes.append(len(inputs))
-            return forward(self, inputs)
+            return forward(self, inputs, *args)
 
         monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
 
@@ -545,16 +565,17 @@ class TestStepMemory:
 
     @pytest.mark.parametrize("spatial", [(32, 32), (1024,)])
     def test_step_peaks_below_three_hidden_arrays(self, spatial):
-        # the projection keeps one (B, N, proj_hidden) array, gelu's cdf, and
-        # works block by block otherwise; the layers keep width-16 arrays.
-        # Keeping the head's gelu input and gradient too read 4.4 arrays.
+        # the head keeps one sample's (N, proj_hidden) cdf and works block
+        # by block otherwise; the layers keep width-16 arrays. Keeping the
+        # head's gelu input and gradient for the batch too read 4.4 arrays.
         model = no.WnoModel.initialize(no.WnoConfig(grid=GridSpec(spatial)), SeededRng(60))
         x, y = SeededRng(61).generator().standard_normal((2, 20) + spatial)
 
         def step():
             model.zero_grads()
-            pred, gates = model.forward_nodes(x)
-            ad.backward(*zip(*no._loss(pred, gates, y, no.LossConfig("l2"), 1.0)[1]))
+            features = model.forward_nodes(x)
+            _, seeds = model.head(features, no._cotangents(y, no.LossConfig("l2"), 1.0))
+            ad.backward(*zip(*seeds))
 
         step()  # builds the cached wavelet pairs outside the trace
         tracemalloc.start()
@@ -567,14 +588,40 @@ class TestStepMemory:
         hidden = x.size * model.config.proj_hidden * 8
         assert peak < 3 * hidden, peak / hidden
 
+    def test_step_holds_no_chunk_hidden_array(self):
+        # a 1024-point grid trains on chunks of 4 samples. What the peak
+        # gains per extra head unit is the hidden rows held at once: one
+        # sample's cdf and two block buffers, 1024 + 2 * 512 rows. Keeping
+        # the chunk's cdf for a backward after the loss held 4 * 1024 rows
+        # and more (the peak grew by 1.29 such arrays).
+        gen = SeededRng(76).generator()
+        x = gen.standard_normal((8, 1024))
+
+        def peak(hidden):
+            cfg = no.WnoConfig(grid=GridSpec((1024,)), proj_hidden=hidden)
+            model = no.WnoModel.initialize(cfg, SeededRng(77))
+            tracemalloc.start()
+            try:
+                no.train(model, x, 0.5 * x, no.LossConfig("l2"), 1, 8, SeededRng(78))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)  # builds the cached wavelet pair outside the comparison
+        growth = peak(384) - peak(128)
+        chunk_hidden = no.CHUNK_POINTS * (384 - 128) * 8
+        assert growth < chunk_hidden, growth / chunk_hidden
+
     def test_outputs_stay_readable_and_interior_values_raise(self):
         # no node of the graph holds a readable (B, N, proj_hidden) value,
         # before or after the backward, and the layer sums' inputs raise
         model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(62))
         x, y = SeededRng(63).generator().standard_normal((2, 3, 64))
-        pred, gates = model.forward_nodes(x)
-        loss, seeds = no._loss(pred, gates, y, no.LossConfig("slf", beta_w=0.1), 1.0)
-        nodes, stack = {}, [pred]
+        cfg, gates = no.LossConfig("slf", beta_w=0.1), []
+        features = model.forward_nodes(x, gates.append)
+        pred, seeds = model.head(features, no._cotangents(y, cfg, 1.0))
+        seeds += no._loss(pred, gates, y, cfg, 1.0)[1]
+        nodes, stack = {}, [features]
         while stack:  # the graph's nodes, parameters left out
             node = stack.pop()
             if id(node) not in nodes and not isinstance(node, ad.Parameter):
@@ -594,9 +641,9 @@ class TestStepMemory:
             return count
 
         assert len(released) == 2 * model.config.layers and hidden_values() == 0
-        want = [pred.value.copy()] + [g.value.copy() for g in gates]
+        want = [features.value.copy()] + [g.value.copy() for g in gates]
         ad.backward(*zip(*seeds))
-        got = [pred.value] + [g.value for g in gates]
+        got = [features.value] + [g.value for g in gates]
         assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
         assert hidden_values() == 0
         for node in released:
@@ -681,17 +728,17 @@ class TestChunkedPredict:
         x = gen.standard_normal((batch,) + spatial)
         if normalize:
             model.set_normalization(x, 2.0 * x + 1.0)
-        out, _ = model.forward_nodes(x)
-        want = out.value[..., 0].reshape(x.shape)
+        out, _ = model.head(model.forward_nodes(x))
+        want = out[..., 0].reshape(x.shape)
         if normalize:
             want = want * model.norm.out_std + model.norm.out_mean
 
         chunks = []
         forward = no.WnoModel.forward_nodes
 
-        def counted(self, inputs):
+        def counted(self, inputs, *args):
             chunks.append(len(inputs))
-            return forward(self, inputs)
+            return forward(self, inputs, *args)
 
         monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
         got = model.predict(x)
@@ -708,15 +755,16 @@ class TestChunkedPredict:
         # spike counts are exact, so the chunked percentages are the one-shot ones
         model = no.WnoModel.initialize(small_config(activation="vsn"), SeededRng(52))
         x = SeededRng(53).generator().standard_normal((150, 64))
-        _, gates = model.forward_nodes(x)
+        gates = []
+        model.forward_nodes(x, gates.append)
         want = np.array([100.0 * float(np.mean(g.value)) for g in gates])
         assert np.all((want > 0.0) & (want < 100.0))
         chunks = []
         forward = no.WnoModel.forward_nodes
 
-        def counted(self, inputs):
+        def counted(self, inputs, *args):
             chunks.append(len(inputs))
-            return forward(self, inputs)
+            return forward(self, inputs, *args)
 
         monkeypatch.setattr(no.WnoModel, "forward_nodes", counted)
         got = no.spiking_activity(model, x)
@@ -742,6 +790,26 @@ class TestChunkedPredict:
             tracemalloc.stop()
         assert peak < no.CHUNK_POINTS * cfg.proj_hidden * 8, peak
 
+    def test_vsn_peak_is_the_gelu_peak(self):
+        # no gate outlives its layer, so a vsn predict holds the arrays of a
+        # gelu one. Keeping every layer's (chunk, N, width) gate to the end
+        # of the chunk peaked 1.0 MB higher here, two such arrays; the slack
+        # is half of one, for vsn's boolean threshold compare and the like.
+        def peak(activation):
+            cfg = no.WnoConfig(grid=GridSpec((64,)), activation=activation)
+            model = no.WnoModel.initialize(cfg, SeededRng(54))
+            x = SeededRng(55).generator().standard_normal((3 * 64, 64))  # 3 chunks
+            model.predict(x[:1])  # builds the cached wavelet pair outside the trace
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        slack = no.CHUNK_POINTS * 16 * 8 // 2
+        assert peak("vsn") <= peak("gelu") + slack, (peak("vsn"), peak("gelu"))
+
 
 class TestInferenceScope:
     """Inference's `ad.no_graph` scope holds for the thread that entered it."""
@@ -756,8 +824,8 @@ class TestInferenceScope:
 
         def gradients():
             model.zero_grads()
-            out, _ = model.forward_nodes(x)
-            ad.backward([out], [g])
+            _, seeds = model.head(model.forward_nodes(x), lambda i, out_i: g[i : i + 1])
+            ad.backward(*zip(*seeds))
             return {name: par.grad.copy() for name, par in model.params.items()}
 
         want = gradients()
